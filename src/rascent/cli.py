@@ -8,22 +8,23 @@ Five subcommands tie the library together:
     gf          expand one of the four generating functions
     wilf        group patterns by their avoidance counts
 
-Exit codes: 0 success, 1 verification or resource failure, 2 usage
-error.  Output is deterministic: identical arguments give identical
-bytes.  Plain lines are meant for people, JSONL for machines; CSV is
-offered where the output is a table.
+Exit codes: 0 success, 1 verification or resource failure or a closed
+output pipe, 2 usage error.  Output is deterministic: identical
+arguments give identical bytes.  Plain lines are meant for people,
+JSONL for machines; CSV is offered where the output is a table.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Iterable, Sequence
 
 from .gentree import Rule, label_counts, level_totals
 from .oracle import GF_NAMES, closed_form, expand_gf, fishburn
-from .patterns import PATTERN_CAP, avoider_words, check_pattern, count_avoiders, wilf_classes
+from .patterns import WILF_LENGTH_CAP, avoider_words, check_pattern, count_avoiders, wilf_classes
 from .verify import SUITE_NAMES, run_suite
 from .words import (
     CapExceededError,
@@ -36,7 +37,6 @@ from .words import (
 )
 
 MAX_ORDER = 64
-WILF_PATTERN_CAP = 4
 
 _FAMILY_TOKENS = tuple(f.value for f in Family)
 
@@ -46,9 +46,10 @@ def _family(token: str) -> Family:
 
 
 def _pattern(text: str):
-    pat = parse_word(text)
-    check_pattern(pat)
-    return pat
+    try:
+        return check_pattern(parse_word(text))
+    except ValueError as exc:
+        raise _Usage(f"--avoid: {exc}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -97,10 +98,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cap(args: argparse.Namespace) -> int:
     value = getattr(args, "cap_override", None)
+    if value is not None and value < 1:
+        raise _Usage("--cap-override must be positive")
     return DEFAULT_CAP if value is None else value
 
 
 def _cmd_enumerate(args: argparse.Namespace, out) -> int:
+    if args.n < 1:
+        raise _Usage("--n must be positive")
     family = _family(args.family)
     pattern = _pattern(args.avoid) if args.avoid else None
     if pattern is None:
@@ -237,8 +242,8 @@ def _cmd_gf(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_wilf(args: argparse.Namespace, out) -> int:
-    if not 1 <= args.pattern_length <= WILF_PATTERN_CAP:
-        raise _Usage(f"--pattern-length must lie in 1..{WILF_PATTERN_CAP}")
+    if not 1 <= args.pattern_length <= WILF_LENGTH_CAP:
+        raise _Usage(f"--pattern-length must lie in 1..{WILF_LENGTH_CAP}")
     if args.n_max < 1:
         raise _Usage("--n-max must be positive")
     cap = _cap(args)
@@ -279,7 +284,14 @@ def main(argv: Iterable[str] | None = None) -> int:
     args = parser.parse_args(list(argv) if argv is not None else None)
     handler = _HANDLERS[args.command]
     try:
-        return handler(args, sys.stdout)
+        code = handler(args, sys.stdout)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed the pipe.  Point stdout at devnull so the
+        # flush at interpreter exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except _Usage as exc:
         print(f"rascent {args.command}: {exc}", file=sys.stderr)
         return 2

@@ -57,15 +57,27 @@ def revise(x: Iterable[int]) -> ReviseTrace:
     if not is_ascent_sequence(w):
         raise ValueError(f"not an ascent sequence: {w}")
     bottoms = tuple(sorted(ascent_bottoms(w)))
-    work = list(w)
-    for i in bottoms:
+    relabeled = relabel(w, bottoms)
+    revised = (max(relabeled),) + relabeled
+    return ReviseTrace(source=w, relabeled=relabeled, revised=revised, bottoms=bottoms)
+
+
+def relabel(x: Iterable[int], positions: Iterable[int]) -> Word:
+    """The bumping pass of `revise`, driven by the given positions.
+
+    For each position i in increasing order, every earlier entry that
+    is >= the current entry at i goes up by one.
+
+    >>> relabel((1, 2, 1, 3, 2, 1, 2, 4), (1, 3, 6, 7))
+    (4, 5, 3, 5, 4, 1, 2, 4)
+    """
+    work = list(check_word(x))
+    for i in sorted(positions):
         vi = work[i - 1]
         for j in range(i - 1):
             if work[j] >= vi:
                 work[j] += 1
-    relabeled = tuple(work)
-    revised = (max(relabeled),) + relabeled
-    return ReviseTrace(source=w, relabeled=relabeled, revised=revised, bottoms=bottoms)
+    return tuple(work)
 
 
 def unrevise(y: Iterable[int]) -> Word:
@@ -87,7 +99,7 @@ def unrevise(y: Iterable[int]) -> Word:
     tail: list[int] = []
     while len(w) > 2:
         tail.append(w[-1])
-        w = remove_entry(w)
+        w = _peel(w)
     # the only revised ascent sequence of length 2 is 11
     x = (1,) + tuple(reversed(tail))
     return x
@@ -126,6 +138,11 @@ def remove_entry(y: Iterable[int]) -> Word:
     w = check_word(y)
     if len(w) < 2:
         raise ValueError("input must have length >= 2")
+    return _peel(w)
+
+
+def _peel(w: Word) -> Word:
+    # remove_entry on a word already validated, of length >= 2
     if w[-1] <= w[-2]:
         return w[:-1]
     pivot = w[-2]

@@ -223,9 +223,11 @@ def _zero(_n: int) -> int:
 
 
 _CLOSED: dict[Word, object] = {}
+_ROWS: list[tuple[Word, ...]] = []
 
 
 def _register(patterns: tuple[Word, ...], fn) -> None:
+    _ROWS.append(patterns)
     for p in patterns:
         _CLOSED[p] = fn
 
@@ -241,20 +243,9 @@ _register(((1, 1, 2),), lambda n: bell_numbers(n)[n - 1])
 _register(((1, 2, 3),), lambda n: expand_gf("b123", n)[n - 1])
 _register(((1, 3, 2), (3, 1, 3, 2)), lambda n: expand_gf("b132", n)[n - 1])
 
-#: Patterns with a known closed form or algebraic series, grouped by
-#: shared avoidance counts; the trailing singleton row is still open.
-TABLE_ROWS: tuple[tuple[Word, ...], ...] = (
-    ((1, 1),),
-    ((1, 2), (2, 1), (2, 1, 2)),
-    ((2, 2, 1),),
-    ((3, 1, 2), (1, 2, 2)),
-    ((2, 3, 1), (3, 2, 1), (3, 2, 3, 1)),
-    ((2, 1, 3),),
-    ((1, 2, 1), (2, 1, 1), (2, 1, 2, 1)),
-    ((1, 1, 2),),
-    ((1, 2, 3),),
-    ((1, 3, 2), (3, 1, 3, 2)),
-)
+#: Patterns with a known closed form or algebraic series, one row per
+#: registration above, grouped by shared avoidance counts.
+TABLE_ROWS: tuple[tuple[Word, ...], ...] = tuple(_ROWS)
 
 #: No closed form is known for 111-avoiders; this prefix (n = 2..8) is
 #: the best exhaustive search currently gives.

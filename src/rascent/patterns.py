@@ -26,6 +26,9 @@ from .words import (
 # Occurrence search is exponential in the pattern length, so the engine
 # refuses anything longer than this.
 PATTERN_CAP = 6
+# wilf_classes counts avoiders of every Cayley permutation of one
+# length, and there are 75 of length 4 but 541 of length 5.
+WILF_LENGTH_CAP = 4
 
 
 def check_pattern(p: Iterable[int]) -> Word:
@@ -42,91 +45,62 @@ def _cmp(a: int, b: int) -> int:
     return (a > b) - (a < b)
 
 
-def count_occurrences(x: Iterable[int], pattern: Iterable[int]) -> int:
-    """Number of occurrences of the pattern in x.
+def _occurrences(w: Word, p: Word, first_only: bool) -> int:
+    """Number of occurrences of p in w; with first_only, 1 as soon as
+    one is found.
 
     Pattern value classes are bound to word values one at a time; each
     candidate position must respect every binding made so far, which
     prunes hopeless partial matches early.
-
-    >>> count_occurrences((1, 1, 1), (1, 1))
-    3
-    >>> count_occurrences((4, 1, 3, 4, 2, 3, 2), (1, 2, 3))
-    2
     """
-    w = check_word(x)
-    p = check_pattern(pattern)
     k = len(p)
     n = len(w)
-    if k > n:
-        return 0
     bound: dict[int, int] = {}
 
     def rec(s: int, start: int) -> int:
         if s == k:
             return 1
         c = p[s]
-        lo = max((bound[d] for d in bound if d < c), default=None)
-        hi = min((bound[d] for d in bound if d > c), default=None)
         fixed = bound.get(c)
+        if fixed is None:
+            lo = max((bound[d] for d in bound if d < c), default=None)
+            hi = min((bound[d] for d in bound if d > c), default=None)
         total = 0
         for i in range(start, n - (k - s) + 1):
             v = w[i]
             if fixed is not None:
                 if v != fixed:
                     continue
+                total += rec(s + 1, i + 1)
             else:
                 if lo is not None and v <= lo:
                     continue
                 if hi is not None and v >= hi:
                     continue
-            if fixed is None:
                 bound[c] = v
                 total += rec(s + 1, i + 1)
                 del bound[c]
-            else:
-                total += rec(s + 1, i + 1)
+            if first_only and total:
+                return total
         return total
 
     return rec(0, 0)
 
 
+def count_occurrences(x: Iterable[int], pattern: Iterable[int]) -> int:
+    """Number of occurrences of the pattern in x.
+
+    >>> count_occurrences((1, 1, 1), (1, 1))
+    3
+    >>> count_occurrences((4, 1, 3, 4, 2, 3, 2), (1, 2, 3))
+    2
+    """
+    return _occurrences(check_word(x), check_pattern(pattern), first_only=False)
+
+
 def contains(x: Iterable[int], pattern: Iterable[int]) -> bool:
     """Existence version of count_occurrences, with early exit."""
-    w = check_word(x)
-    p = check_pattern(pattern)
-    k = len(p)
-    n = len(w)
-    if k > n:
-        return False
-    bound: dict[int, int] = {}
-
-    def rec(s: int, start: int) -> bool:
-        if s == k:
-            return True
-        c = p[s]
-        lo = max((bound[d] for d in bound if d < c), default=None)
-        hi = min((bound[d] for d in bound if d > c), default=None)
-        fixed = bound.get(c)
-        for i in range(start, n - (k - s) + 1):
-            v = w[i]
-            if fixed is not None:
-                if v != fixed:
-                    continue
-                if rec(s + 1, i + 1):
-                    return True
-            else:
-                if lo is not None and v <= lo:
-                    continue
-                if hi is not None and v >= hi:
-                    continue
-                bound[c] = v
-                if rec(s + 1, i + 1):
-                    return True
-                del bound[c]
-        return False
-
-    return rec(0, 0)
+    return _occurrences(check_word(x), check_pattern(pattern), first_only=True) > 0
 
 
 def avoids(x: Iterable[int], pattern: Iterable[int]) -> bool:
@@ -282,10 +256,10 @@ def wilf_classes(pattern_length: int, n_max: int,
     """Group all Cayley permutations of one length by their avoidance
     counts in the family, for n = 1 .. n_max.
 
-    Engine cap: pattern_length <= 4.
+    Engine cap: pattern_length <= WILF_LENGTH_CAP.
     """
-    if not 1 <= pattern_length <= 4:
-        raise ValueError("pattern length must be between 1 and 4")
+    if not 1 <= pattern_length <= WILF_LENGTH_CAP:
+        raise ValueError(f"pattern length must be between 1 and {WILF_LENGTH_CAP}")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     groups: dict[tuple[int, ...], list[Word]] = {}
@@ -324,17 +298,6 @@ def max_prefix_equivalent(pattern: Iterable[int], n_max: int,
 # Each checks the shape alone; intersected with the revised ascent
 # sequences of length n it carves out exactly the avoiders of the
 # corresponding pattern.
-
-def _runs(x: Word) -> list[tuple[int, int]]:
-    """Maximal constant runs as (value, length) pairs."""
-    out: list[tuple[int, int]] = []
-    for v in x:
-        if out and out[-1][0] == v:
-            out[-1] = (v, out[-1][1] + 1)
-        else:
-            out.append((v, 1))
-    return out
-
 
 def _form_221(x: Word) -> bool:
     # m 1 2 ... (m-1) m^(n-m)

@@ -1,10 +1,13 @@
 """Named invariant suites behind `rascent verify`.
 
 Each suite re-checks a group of structural claims by brute force and
-reports one `Check` per property.  The suites are deliberately
-independent of the unit tests: they recompute everything from the
-definitions so they can be pointed at larger sizes from the command
-line.  Suite names are part of the CLI contract.
+reports one `Check` per property.  The suites recompute everything from
+the definitions so they can be pointed at larger sizes from the command
+line; the acceptance tests drive them at their own ranges.  A suite
+sweeps the sizes once: it builds the objects of each size a single time
+and derives every check from them.  Each check is a lazy stream of
+counterexamples of which only the first is drawn.  Suite names are part
+of the CLI contract.
 """
 
 from __future__ import annotations
@@ -13,10 +16,10 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .gentree import Rule, expand_level, label_counts, level_totals, rule_children, rule_children_123, word_label
-from .maps import add_entry, complement, remove_entry, revise, shift_trim, standardize, unrevise
+from .gentree import _RULE_CHILDREN, Rule, expand_level, label_counts, level_totals, word_label
+from .maps import add_entry, complement, relabel, remove_entry, revise, shift_trim, standardize, unrevise
 from .oracle import (
     OPEN_111_PREFIX,
     TABLE_ROWS,
@@ -29,9 +32,9 @@ from .oracle import (
     stirling2,
     system_132,
 )
-from .patterns import avoider_words, avoids, contains, count_avoiders, matches_form, max_prefix_equivalent, wilf_classes
+from .patterns import avoider_words, avoids, contains, count_avoiders, matches_form, wilf_classes
 from .series import PowerSeries
-from .words import Family, Word, ascent_bottoms, ascent_tops, enumerate_family, family_members, format_word, is_member, nub, stat_sets
+from .words import Family, Word, ascent_bottoms, ascent_tops, enumerate_family, format_word, nub, stat_sets
 
 
 @dataclass(frozen=True)
@@ -52,468 +55,379 @@ class Check:
 SUITE_NAMES = ("eta", "addrom", "gentree", "table1", "phi", "series", "forms", "wilf")
 
 
-def _members(n: int, family: Family) -> Sequence[Word]:
-    # family_members memoizes small sizes; larger requests enumerate afresh
-    if n <= 10:
-        return family_members(n, family)
-    return enumerate_family(n, family)
+class _Sweep:
+    """The first counterexample of each check of one suite.
 
+    A check that already has one draws nothing more from later streams,
+    so a sweep over growing sizes reports the smallest failing size.
+    """
 
-def _relabel(w: Word) -> Word:
-    # the incremental relabeling pass, driven by the ascent bottoms of w itself
-    work = list(w)
-    for i in sorted(ascent_bottoms(w)):
-        vi = work[i - 1]
-        for j in range(i - 1):
-            if work[j] >= vi:
-                work[j] += 1
-    return tuple(work)
+    def __init__(self, suite: str) -> None:
+        self.suite = suite
+        self.found: dict[str, str] = {}
 
+    def note(self, name: str, witnesses: Iterable[str]) -> None:
+        if name not in self.found:
+            witness = next(iter(witnesses), None)
+            if witness is not None:
+                self.found[name] = witness
 
-def _check(suite: str, name: str, scope: str, witness: str | None) -> Check:
-    return Check(suite=suite, name=name, scope=scope, passed=witness is None, counterexample=witness)
+    def check(self, name: str, scope: str, witnesses: Iterable[str] = ()) -> Check:
+        self.note(name, witnesses)
+        witness = self.found.get(name)
+        return Check(suite=self.suite, name=name, scope=scope, passed=witness is None, counterexample=witness)
 
 
 # ---------------------------------------------------------------- eta
 
+def _bijection_misses(image: list[Word], target: Sequence[Word]) -> Iterator[str]:
+    seen: set[Word] = set()
+    for w in image:
+        if w in seen:
+            yield f"collision at {format_word(w)}"
+        seen.add(w)
+    wanted = set(target)
+    if seen != wanted:
+        yield format_word(next(iter(seen ^ wanted)))
+
+
 def suite_eta(n_max: int) -> list[Check]:
     """The relabeling bijection and its one-step recursion."""
-    checks: list[Check] = []
+    s = _Sweep("eta")
     scope = f"n<={n_max}"
-
-    witness = None
-    for n in range(2, n_max + 1):
-        for x in _members(n, Family.ASCENT):
-            whole = revise(x).revised
-            step = add_entry(revise(x[:-1]).revised, x[-1])
-            if whole != step:
-                witness = format_word(x)
-                break
-        if witness:
-            break
-    checks.append(_check("eta", "one-step-recursion", scope, witness))
-
-    witness = None
-    for n in range(1, n_max + 1):
-        for x in _members(n, Family.ASCENT):
-            if max(revise(x).revised) != len(ascent_tops(x)):
-                witness = format_word(x)
-                break
-        if witness:
-            break
-    checks.append(_check("eta", "max-counts-ascent-tops", scope, witness))
-
-    witness = None
-    for n in range(1, n_max + 1):
-        image = [revise(x).revised for x in _members(n, Family.ASCENT)]
-        target = set(_members(n + 1, Family.REVISED))
-        if len(set(image)) != len(image):
-            seen: set[Word] = set()
-            dup = next(w for w in image if w in seen or seen.add(w))
-            witness = f"collision at {format_word(dup)}"
-            break
-        if set(image) != target:
-            odd = next(iter(set(image) ^ target))
-            witness = format_word(odd)
-            break
-    checks.append(_check("eta", "bijection-onto-next-length", scope, witness))
-
-    witness = None
-    for n in range(1, min(n_max, 9) + 1):
-        for x in _members(n, Family.ASCENT):
-            if revise(x).revised != _relabel((1,) + x):
-                witness = format_word(x)
-                break
-        if witness:
-            break
-    checks.append(_check("eta", "equals-relabel-of-padded-word", f"n<={min(n_max, 9)}", witness))
-
-    witness = None
-    for n in range(1, n_max + 1):
-        for x in _members(n, Family.ASCENT):
-            if unrevise(revise(x).revised) != x:
-                witness = format_word(x)
-                break
-        if witness:
-            break
-    checks.append(_check("eta", "inverse-round-trip", scope, witness))
-
-    witness = None
+    relabel_top = min(n_max, 9)
     fib = (1,) + fishburn(max(n_max, 2))
+    image: dict[Word, Word] = {}
+    revised = enumerate_family(1, Family.REVISED)
     for n in range(1, n_max + 1):
-        if len(_members(n, Family.REVISED)) != fib[n - 1]:
-            witness = f"n={n}"
-            break
-    checks.append(_check("eta", "counts-match-fishburn", scope, witness))
-    return checks
+        shorter, image = image, {x: revise(x).revised for x in enumerate_family(n, Family.ASCENT)}
+        if n >= 2:
+            s.note("one-step-recursion", (format_word(x) for x, y in image.items()
+                                          if y != add_entry(shorter[x[:-1]], x[-1])))
+        s.note("max-counts-ascent-tops", (format_word(x) for x, y in image.items()
+                                          if max(y) != len(ascent_tops(x))))
+        s.note("counts-match-fishburn", [f"n={n}"] if len(revised) != fib[n - 1] else [])
+        revised = enumerate_family(n + 1, Family.REVISED)
+        s.note("bijection-onto-next-length", _bijection_misses(list(image.values()), revised))
+        if n <= relabel_top:
+            s.note("equals-relabel-of-padded-word", (format_word(x) for x, y in image.items()
+                                                     if y != relabel((1,) + x, ascent_bottoms((1,) + x))))
+        s.note("inverse-round-trip", (format_word(x) for x, y in image.items() if unrevise(y) != x))
+    return [
+        s.check("one-step-recursion", scope),
+        s.check("max-counts-ascent-tops", scope),
+        s.check("bijection-onto-next-length", scope),
+        s.check("equals-relabel-of-padded-word", f"n<={relabel_top}"),
+        s.check("inverse-round-trip", scope),
+        s.check("counts-match-fishburn", scope),
+    ]
 
 
 # ------------------------------------------------------------- addrom
 
+def _extension_misses(words: Sequence[Word], longer: set[Word]) -> Iterator[str]:
+    for x in words:
+        for v in range(1, max(x) + 2):
+            y = add_entry(x, v)
+            if y not in longer:
+                yield f"{format_word(x)}+{v}"
+            elif remove_entry(y) != x:
+                yield f"{format_word(y)} peels wrong"
+
+
+def _peel_misses(words: Sequence[Word], shorter: set[Word]) -> Iterator[str]:
+    for y in words:
+        x = remove_entry(y)
+        if x not in shorter or add_entry(x, y[-1]) != y:
+            yield format_word(y)
+
+
+def _complement_misses(n: int, revised: Sequence[Word]) -> Iterator[str]:
+    for fam, mate in ((Family.REVISED, Family.DESTOP), (Family.MODIFIED, Family.DESBOT)):
+        source = revised if fam is Family.REVISED else enumerate_family(n, fam)
+        if {complement(w) for w in source} != set(enumerate_family(n, mate)):
+            yield f"{fam.value}->{mate.value} at n={n}"
+
+
+def _stat_misses(words: Iterable[Word]) -> Iterator[str]:
+    for w in words:
+        a, b = stat_sets(w), stat_sets(complement(w))
+        if a.asctop != b.desbot or a.ascbot != b.destop or nub(w) != nub(complement(w)):
+            yield format_word(w)
+
+
+def _sampled_cayley(lengths: Iterable[int], per_length: int) -> Iterator[Word]:
+    rng = random.Random(0x5EED)
+    for n in lengths:
+        for _ in range(per_length):
+            yield standardize(tuple(rng.randint(1, n) for _ in range(n)))
+
+
+def _max_misses(words: Sequence[Word]) -> Iterator[str]:
+    for w in words:
+        m = max(w)
+        s = stat_sets(w)
+        if w[0] != m or (len(w) >= 2 and w.count(m) < 2) or m != len(s.ascbot) or m != len(s.asctop):
+            yield format_word(w)
+
+
 def suite_addrom(n_max: int) -> list[Check]:
     """One-letter extension, its inverse, and the complement symmetries."""
-    checks: list[Check] = []
+    s = _Sweep("addrom")
     scope = f"n<={n_max}"
-
-    witness = None
-    for n in range(2, n_max + 1):
-        for x in _members(n, Family.REVISED):
-            for v in range(1, max(x) + 2):
-                y = add_entry(x, v)
-                if not is_member(y, Family.REVISED):
-                    witness = f"{format_word(x)}+{v}"
-                    break
-                if remove_entry(y) != x:
-                    witness = f"{format_word(y)} peels wrong"
-                    break
-            if witness:
-                break
-        if witness:
+    shorter: Sequence[Word] = ()
+    for n in range(1, n_max + 2):
+        words = enumerate_family(n, Family.REVISED)
+        if n >= 3:
+            # extension and peeling move between neighbouring sizes
+            s.note("extension-stays-in-family", _extension_misses(shorter, set(words)))
+            s.note("every-word-is-an-extension", _peel_misses(words, set(shorter)))
+        if n > n_max:
             break
-    checks.append(_check("addrom", "extension-stays-in-family", scope, witness))
-
-    witness = None
-    for n in range(3, n_max + 2):
-        for y in _members(n, Family.REVISED):
-            x = remove_entry(y)
-            if not is_member(x, Family.REVISED) or add_entry(x, y[-1]) != y:
-                witness = format_word(y)
-                break
-        if witness:
-            break
-    checks.append(_check("addrom", "every-word-is-an-extension", f"n<={n_max + 1}", witness))
-
-    witness = None
-    for n in range(1, n_max + 1):
-        for fam, mate in ((Family.REVISED, Family.DESTOP), (Family.MODIFIED, Family.DESBOT)):
-            image = {complement(w) for w in _members(n, fam)}
-            if image != set(_members(n, mate)):
-                witness = f"{fam.value}->{mate.value} at n={n}"
-                break
-        if witness:
-            break
-    checks.append(_check("addrom", "complement-swaps-families", scope, witness))
-
-    def stat_mismatch(w: Word) -> bool:
-        a, b = stat_sets(w), stat_sets(complement(w))
-        return a.asctop != b.desbot or a.ascbot != b.destop or nub(w) != nub(complement(w))
-
-    witness = None
-    for n in range(1, min(n_max, 7) + 1):
-        for w in _members(n, Family.CAYLEY):
-            if stat_mismatch(w):
-                witness = format_word(w)
-                break
-        if witness:
-            break
-    if witness is None and n_max >= 8:
+        shorter = words
+        s.note("complement-swaps-families", _complement_misses(n, words))
+        if n <= 7:
+            s.note("complement-swaps-statistics", _stat_misses(enumerate_family(n, Family.CAYLEY)))
+        s.note("first-entry-is-repeated-max", _max_misses(words))
+    if n_max >= 8:
         # lengths 8 and 9 are sampled; exhaustive Cayley sweeps get large
-        rng = random.Random(0x5EED)
-        for n in (8, 9):
-            for _ in range(2000):
-                w = standardize(tuple(rng.randint(1, n) for _ in range(n)))
-                if stat_mismatch(w):
-                    witness = format_word(w)
-                    break
-            if witness:
-                break
-    checks.append(_check("addrom", "complement-swaps-statistics", "n<=7 full, n<=9 sampled", witness))
-
-    witness = None
-    for n in range(1, n_max + 1):
-        for w in _members(n, Family.REVISED):
-            m = max(w)
-            s = stat_sets(w)
-            if w[0] != m or (n >= 2 and w.count(m) < 2) or m != len(s.ascbot) or m != len(s.asctop):
-                witness = format_word(w)
-                break
-        if witness:
-            break
-    checks.append(_check("addrom", "first-entry-is-repeated-max", scope, witness))
-    return checks
+        s.note("complement-swaps-statistics", _stat_misses(_sampled_cayley((8, 9), 2000)))
+    return [
+        s.check("extension-stays-in-family", scope),
+        s.check("every-word-is-an-extension", f"n<={n_max + 1}"),
+        s.check("complement-swaps-families", scope),
+        s.check("complement-swaps-statistics", "n<=7 full, n<=9 sampled"),
+        s.check("first-entry-is-repeated-max", scope),
+    ]
 
 
 # ------------------------------------------------------------ gentree
 
+def _rule_misses(words: Sequence[Word], rule: Rule) -> Iterator[str]:
+    for x in words:
+        kids = [add_entry(x, v) for v in range(1, max(x) + 2)]
+        if rule is Rule.AVOID123:
+            kids = [y for y in kids if avoids(y, (1, 2, 3))]
+        if Counter(word_label(y, rule) for y in kids) != Counter(_RULE_CHILDREN[rule](word_label(x, rule))):
+            yield format_word(x)
+
+
+def _tree_series_misses(full: list[int], sub: list[int]) -> Iterator[str]:
+    if full != list(fishburn(25)):
+        yield "full tree vs product-sum series"
+    if sub != list(expand_gf("b123", 26))[1:]:
+        yield "123 subtree vs algebraic series"
+
+
 def suite_gentree(n_max: int) -> list[Check]:
     """Succession rules, label dynamics and their counting power."""
-    checks: list[Check] = []
+    s = _Sweep("gentree")
     scope = f"n<={n_max}"
-
-    witness = None
+    dp = {rule: label_counts(rule, 25) for rule in (Rule.FULL, Rule.AVOID123)}
+    full = [lc.total for lc in dp[Rule.FULL]]
+    sub = [lc.total for lc in dp[Rule.AVOID123]]
     for n in range(2, n_max + 1):
-        for x in _members(n, Family.REVISED):
-            got = Counter(word_label(add_entry(x, v), Rule.FULL) for v in range(1, max(x) + 2))
-            want = Counter(rule_children(word_label(x, Rule.FULL)))
-            if got != want:
-                witness = format_word(x)
-                break
-        if witness:
-            break
-    checks.append(_check("gentree", "generic-children-match-rule", scope, witness))
-
-    witness = None
-    for n in range(2, n_max + 1):
-        for x in avoider_words(n, (1, 2, 3)):
-            kids = [add_entry(x, v) for v in range(1, max(x) + 2)]
-            kids = [y for y in kids if avoids(y, (1, 2, 3))]
-            got = Counter(word_label(y, Rule.AVOID123) for y in kids)
-            want = Counter(rule_children_123(word_label(x, Rule.AVOID123)))
-            if got != want:
-                witness = format_word(x)
-                break
-        if witness:
-            break
-    checks.append(_check("gentree", "avoid123-children-match-rule", scope, witness))
-
-    witness = None
-    for lc in label_counts(Rule.AVOID123, 25):
-        for (g, last), _ in sorted(lc.counts.items()):
-            if last >= 2 and g != last:
-                witness = f"label ({g},{last}) at level {lc.level}"
-                break
-        if witness:
-            break
-    checks.append(_check("gentree", "avoid123-label-invariant", "level<=25", witness))
-
-    witness = None
-    full = level_totals(Rule.FULL, 25)
-    sub = level_totals(Rule.AVOID123, 25)
-    for n in range(2, n_max + 1):
-        if full[n - 2] != len(_members(n, Family.REVISED)):
-            witness = f"full tree at n={n}"
-            break
-        if sub[n - 2] != count_avoiders(n, (1, 2, 3)):
-            witness = f"123 subtree at n={n}"
-            break
-    checks.append(_check("gentree", "level-totals-match-enumeration", scope, witness))
-
-    witness = None
-    if list(full) != list(fishburn(25)):
-        witness = "full tree vs product-sum series"
-    elif list(sub) != list(expand_gf("b123", 26))[1:]:
-        witness = "123 subtree vs algebraic series"
-    checks.append(_check("gentree", "level-totals-match-series", "level<=25", witness))
-
-    witness = None
-    for rule in (Rule.FULL, Rule.AVOID123):
-        for n in range(2, min(n_max, 10) + 1):
-            words = expand_level(rule, n)
-            if Counter(word_label(w, rule) for w in words) != label_counts(rule, n - 1)[-1].counts:
-                witness = f"{rule.value} at n={n}"
-                break
-        if witness:
-            break
-    checks.append(_check("gentree", "materialized-labels-match-dp", f"n<={min(n_max, 10)}", witness))
-    return checks
+        words = enumerate_family(n, Family.REVISED)
+        avoiders = avoider_words(n, (1, 2, 3))
+        s.note("generic-children-match-rule", _rule_misses(words, Rule.FULL))
+        s.note("avoid123-children-match-rule", _rule_misses(avoiders, Rule.AVOID123))
+        if full[n - 2] != len(words):
+            s.note("level-totals-match-enumeration", [f"full tree at n={n}"])
+        elif sub[n - 2] != len(avoiders):
+            s.note("level-totals-match-enumeration", [f"123 subtree at n={n}"])
+    top = min(n_max, 10)
+    return [
+        s.check("generic-children-match-rule", scope),
+        s.check("avoid123-children-match-rule", scope),
+        s.check("avoid123-label-invariant", "level<=25",
+                (f"label ({g},{last}) at level {lc.level}" for lc in dp[Rule.AVOID123]
+                 for g, last in sorted(lc.counts) if last >= 2 and g != last)),
+        s.check("level-totals-match-enumeration", scope),
+        s.check("level-totals-match-series", "level<=25", _tree_series_misses(full, sub)),
+        s.check("materialized-labels-match-dp", f"n<={top}",
+                (f"{rule.value} at n={n}" for rule in (Rule.FULL, Rule.AVOID123) for n in range(2, top + 1)
+                 if Counter(word_label(w, rule) for w in expand_level(rule, n)) != dp[rule][n - 2].counts)),
+    ]
 
 
 # ------------------------------------------------------------- table1
 
-def suite_table1(n_max: int) -> list[Check]:
-    """Closed-form counts against brute-force avoidance, row by row."""
-    checks: list[Check] = []
-    for group in TABLE_ROWS:
-        witness = None
-        for pat in group:
-            for n in range(1, n_max + 1):
-                if count_avoiders(n, pat) != closed_form(pat, n):
-                    witness = f"{format_word(pat)} at n={n}"
-                    break
-            if witness:
-                break
-        name = "row-" + "-".join(format_word(p) for p in group)
-        checks.append(_check("table1", name, f"n<={n_max}", witness))
-
-    witness = None
-    top = min(n_max, 8)
-    got = tuple(count_avoiders(n, (1, 1, 1)) for n in range(2, top + 1))
-    if got != OPEN_111_PREFIX[: top - 1]:
-        witness = f"prefix {got}"
-    checks.append(_check("table1", "row-111-open-prefix", f"n<={top}", witness))
-
-    witness = None
-    top = min(n_max, 10)
+def _refinement_112_misses(top: int) -> Iterator[str]:
     for n in range(2, top + 1):
         by_max = Counter(max(w) for w in avoider_words(n, (1, 1, 2)))
         for m in range(2, n + 1):
             if by_max.get(m, 0) != stirling2(n - 1, n - m):
-                witness = f"n={n} m={m}"
-                break
-        if witness is None and sum(by_max.values()) != bell_numbers(n)[n - 1]:
-            witness = f"row sum at n={n}"
-        if witness:
-            break
-    checks.append(_check("table1", "refinement-112-by-maximum", f"n<={top}", witness))
+                yield f"n={n} m={m}"
+        if sum(by_max.values()) != bell_numbers(n)[n - 1]:
+            yield f"row sum at n={n}"
+
+
+def suite_table1(n_max: int) -> list[Check]:
+    """Closed-form counts against brute-force avoidance, row by row."""
+    s = _Sweep("table1")
+    checks = [
+        s.check("row-" + "-".join(format_word(p) for p in group), f"n<={n_max}",
+                (f"{format_word(pat)} at n={n}" for pat in group for n in range(1, n_max + 1)
+                 if count_avoiders(n, pat) != closed_form(pat, n)))
+        for group in TABLE_ROWS
+    ]
+    top = min(n_max, 8)
+    got = tuple(count_avoiders(n, (1, 1, 1)) for n in range(2, top + 1))
+    checks.append(s.check("row-111-open-prefix", f"n<={top}",
+                          [f"prefix {got}"] if got != OPEN_111_PREFIX[: top - 1] else []))
+    top = min(n_max, 10)
+    checks.append(s.check("refinement-112-by-maximum", f"n<={top}", _refinement_112_misses(top)))
     return checks
 
 
 # ---------------------------------------------------------------- phi
 
-def suite_phi(n_max: int) -> list[Check]:
-    """The value-rotation bijection between two restricted families."""
-    checks: list[Check] = []
-    top = min(n_max, 9)
-
-    witness = None
-    worked = shift_trim((6, 4, 6, 3, 6, 1, 2, 6, 5, 6))
-    if worked != (1, 5, 1, 4, 1, 2, 3, 1, 6):
-        witness = format_word(worked)
-    checks.append(_check("phi", "worked-example", "single word", witness))
-
-    witness = None
+def _shift_trim_misses(top: int) -> Iterator[str]:
     for n in range(1, top + 1):
         image = [shift_trim(w) for w in avoider_words(n + 1, (2, 1, 1))]
-        target = [w for w in _members(n, Family.MODIFIED) if avoids(w, (1, 2, 2))]
+        target = [w for w in enumerate_family(n, Family.MODIFIED) if avoids(w, (1, 2, 2))]
         if len(set(image)) != len(image) or sorted(image) != sorted(target):
-            witness = f"n={n}"
-            break
-    checks.append(_check("phi", "bijection-onto-modified-family", f"n<={top}", witness))
-    return checks
+            yield f"n={n}"
+
+
+def suite_phi(n_max: int) -> list[Check]:
+    """The value-rotation bijection between two restricted families."""
+    s = _Sweep("phi")
+    top = min(n_max, 9)
+    worked = shift_trim((6, 4, 6, 3, 6, 1, 2, 6, 5, 6))
+    return [
+        s.check("worked-example", "single word",
+                [format_word(worked)] if worked != (1, 5, 1, 4, 1, 2, 3, 1, 6) else []),
+        s.check("bijection-onto-modified-family", f"n<={top}", _shift_trim_misses(top)),
+    ]
 
 
 # ------------------------------------------------------------- series
 
+def _pinned_prefix_misses() -> Iterator[str]:
+    if tuple(fishburn(7)) != (1, 2, 5, 15, 53, 217, 1014):
+        yield "product-sum prefix"
+    if expand_gf("b123", 10)[1:] != (1, 2, 4, 9, 22, 57, 154, 429, 1223):
+        yield "123 prefix"
+    if expand_gf("b132", 10) != (1, 1, 2, 5, 13, 35, 97, 275, 794, 2327):
+        yield "132 prefix"
+    if expand_gf("b213", 4)[3] != 5:
+        yield "213 coefficient t^4"
+
+
 def suite_series(n_max: int) -> list[Check]:
     """Algebraic identities tying the generating functions together."""
-    checks: list[Check] = []
+    s = _Sweep("series")
     order = 30
     t = PowerSeries.variable(order)
-    disc = t ** 4 + 2 * t ** 2 - 4 * t + 1
+    disc = (t ** 4 + 2 * t ** 2 - 4 * t + 1).truncate(order)
 
     def lift(name: str) -> PowerSeries:
         coeffs = [Fraction(0)] + [Fraction(c) for c in expand_gf(name, order)]
         return PowerSeries.from_coefficients(coeffs, order)
 
-    z = lift("b123")
-    witness = None if (2 * (t - 1) * z - t * t + 1) ** 2 == disc.truncate(order) else "123 identity"
-    checks.append(_check("series", "quadratic-identity-123", f"order<={order}", witness))
-
-    y = lift("b132")
-    witness = None if (t * t - 2 * t + 1 - 2 * t * y) ** 2 == disc.truncate(order) else "132 identity"
-    checks.append(_check("series", "quadratic-identity-132", f"order<={order}", witness))
-
-    witness = None
+    z, y = lift("b123"), lift("b132")
     st = system_132(27)
     b123 = expand_gf("b123", 26)
-    for n in range(2, 26):
-        if b123[n - 1] != st.s[n + 1]:
-            witness = f"n={n}"
-            break
-    checks.append(_check("series", "cross-link-132-sums-count-123", "2<=n<=25", witness))
-
-    witness = None
     bells = bell_numbers(16)
-    for n in range(2, 16):
-        total = sum(stirling2(n - 1, n - m) for m in range(1, n + 1))
-        if total != bells[n - 1] or closed_form((1, 1, 2), n) != bells[n - 1]:
-            witness = f"n={n}"
-            break
-    checks.append(_check("series", "partition-counts-consistent", "n<=15", witness))
-
-    witness = None
     cats = catalan_numbers(25)
     rec = recurrence_213(25)
     b213 = expand_gf("b213", 25)
-    for n in range(1, 26):
-        if rec[n - 1] != cats[n - 1] or b213[n - 1] != cats[n - 1]:
-            witness = f"n={n}"
-            break
-    checks.append(_check("series", "recurrence-213-is-catalan", "n<=25", witness))
-
-    witness = None
-    if tuple(fishburn(7)) != (1, 2, 5, 15, 53, 217, 1014):
-        witness = "product-sum prefix"
-    elif expand_gf("b123", 10)[1:] != (1, 2, 4, 9, 22, 57, 154, 429, 1223):
-        witness = "123 prefix"
-    elif expand_gf("b132", 10) != (1, 1, 2, 5, 13, 35, 97, 275, 794, 2327):
-        witness = "132 prefix"
-    elif expand_gf("b213", 4)[3] != 5:
-        witness = "213 coefficient t^4"
-    checks.append(_check("series", "pinned-prefixes", "printed values", witness))
-
-    witness = None
-    if list(level_totals(Rule.FULL, 25)) != list(fishburn(25)):
-        witness = "full tree vs series"
-    checks.append(_check("series", "tree-totals-match-product-sum", "level<=25", witness))
-    return checks
+    return [
+        s.check("quadratic-identity-123", f"order<={order}",
+                [] if (2 * (t - 1) * z - t * t + 1) ** 2 == disc else ["123 identity"]),
+        s.check("quadratic-identity-132", f"order<={order}",
+                [] if (t * t - 2 * t + 1 - 2 * t * y) ** 2 == disc else ["132 identity"]),
+        s.check("cross-link-132-sums-count-123", "2<=n<=25",
+                (f"n={n}" for n in range(2, 26) if b123[n - 1] != st.s[n + 1])),
+        s.check("partition-counts-consistent", "n<=15",
+                (f"n={n}" for n in range(2, 16)
+                 if sum(stirling2(n - 1, n - m) for m in range(1, n + 1)) != bells[n - 1]
+                 or closed_form((1, 1, 2), n) != bells[n - 1])),
+        s.check("recurrence-213-is-catalan", "n<=25",
+                (f"n={n}" for n in range(1, 26) if rec[n - 1] != cats[n - 1] or b213[n - 1] != cats[n - 1])),
+        s.check("pinned-prefixes", "printed values", _pinned_prefix_misses()),
+        s.check("tree-totals-match-product-sum", "level<=25",
+                [] if list(level_totals(Rule.FULL, 25)) == list(fishburn(25)) else ["full tree vs series"]),
+    ]
 
 
 # -------------------------------------------------------------- forms
 
+_FORMS = ("221", "312", "321", "122", "211")
+
+
+def _form_misses(n: int, words: Sequence[Word], form: str) -> Iterator[str]:
+    avoiders = set(avoider_words(n, tuple(int(c) for c in form)))
+    shaped = {w for w in words if matches_form(w, form)}
+    if avoiders != shaped:
+        yield f"{format_word(next(iter(avoiders ^ shaped)))} at n={n}"
+
+
 def suite_forms(n_max: int) -> list[Check]:
     """Structural normal forms versus brute-force avoider sets."""
-    checks: list[Check] = []
-    for name, pat in (("221", (2, 2, 1)), ("312", (3, 1, 2)), ("321", (3, 2, 1)),
-                      ("122", (1, 2, 2)), ("211", (2, 1, 1))):
-        witness = None
-        for n in range(2, n_max + 1):
-            avoiders = set(avoider_words(n, pat))
-            shaped = {w for w in _members(n, Family.REVISED) if matches_form(w, name)}
-            if avoiders != shaped:
-                odd = next(iter(avoiders ^ shaped))
-                witness = f"{format_word(odd)} at n={n}"
-                break
-        checks.append(_check("forms", f"form-{name}-characterizes-avoiders", f"n<={n_max}", witness))
-    return checks
+    s = _Sweep("forms")
+    for n in range(2, n_max + 1):
+        words = enumerate_family(n, Family.REVISED)
+        for form in _FORMS:
+            s.note(f"form-{form}-characterizes-avoiders", _form_misses(n, words, form))
+    return [s.check(f"form-{form}-characterizes-avoiders", f"n<={n_max}") for form in _FORMS]
 
 
 # --------------------------------------------------------------- wilf
 
+_SAME_AVOIDERS = (((2, 3, 1), (3, 2, 1)), ((1, 2, 1), (2, 1, 1)))
+# second entry is the unique maximum, so prepending it is neutral
+_MAX_LED = ((1, 2), (1, 2, 1), (2, 3, 1), (1, 3, 2))
+
+
+def _monotone_misses(words: Sequence[Word], nests: list[tuple[Word, Word]]) -> Iterator[str]:
+    for w in words:
+        # a pattern's avoidance is computed once, and only when needed
+        avoided: dict[Word, bool] = {}
+        for a, b in nests:
+            if a not in avoided:
+                avoided[a] = avoids(w, a)
+            if avoided[a]:
+                if b not in avoided:
+                    avoided[b] = avoids(w, b)
+                if not avoided[b]:
+                    yield f"{format_word(w)} vs {format_word(a)}<{format_word(b)}"
+
+
+def _class_misses(classes: set[frozenset[Word]]) -> Iterator[str]:
+    for pair in (((1, 2, 1), (2, 1, 1)), ((2, 3, 1), (3, 2, 1)), ((1, 2, 2), (3, 1, 2))):
+        if frozenset(pair) not in classes:
+            yield "-".join(format_word(p) for p in pair)
+
+
 def suite_wilf(n_max: int) -> list[Check]:
     """Avoidance equivalences: proved pairs, prefix lemma, monotonicity."""
-    checks: list[Check] = []
+    s = _Sweep("wilf")
     scope = f"n<={n_max}"
-
-    for a, b in (((2, 3, 1), (3, 2, 1)), ((1, 2, 1), (2, 1, 1))):
-        witness = None
-        for n in range(1, n_max + 1):
-            if avoider_words(n, a) != avoider_words(n, b):
-                witness = f"n={n}"
-                break
-        name = f"same-avoiders-{format_word(a)}-{format_word(b)}"
-        checks.append(_check("wilf", name, scope, witness))
-
-    witness = None
-    for pat in ((1, 2), (1, 2, 1), (2, 3, 1), (1, 3, 2)):
-        if not max_prefix_equivalent(pat, n_max):
-            witness = format_word(pat)
-            break
-    checks.append(_check("wilf", "prepending-the-maximum-is-neutral", scope, witness))
-
-    witness = None
     top = min(n_max, 8)
-    patterns = [p for k in range(1, 5) for p in _members(k, Family.CAYLEY)]
-    nests = [(s, t) for s in patterns for t in patterns if s != t and contains(t, s)]
-    for n in range(1, top + 1):
-        for w in _members(n, Family.REVISED):
-            avoided = {p: avoids(w, p) for p in patterns}
-            for s, t in nests:
-                if avoided[s] and not avoided[t]:
-                    witness = f"{format_word(w)} vs {format_word(s)}<{format_word(t)}"
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    checks.append(_check("wilf", "containment-monotone", f"n<={top}, patterns k<=4", witness))
-
-    witness = None
-    report = wilf_classes(2, min(n_max, 6))
-    got = tuple(cls.patterns for cls in report.classes)
-    if got != (((1, 1),), ((1, 2), (2, 1))):
-        witness = str(got)
-    checks.append(_check("wilf", "length-2-classes", f"n<={min(n_max, 6)}", witness))
-
-    witness = None
-    report = wilf_classes(3, min(n_max, 8))
-    classed = {frozenset(cls.patterns) for cls in report.classes}
-    for pair in (((1, 2, 1), (2, 1, 1)), ((2, 3, 1), (3, 2, 1)), ((1, 2, 2), (3, 1, 2))):
-        if frozenset(pair) not in classed:
-            witness = "-".join(format_word(p) for p in pair)
-            break
-    checks.append(_check("wilf", "length-3-classes-match-table", f"n<={min(n_max, 8)}", witness))
-    return checks
+    patterns = [p for k in range(1, 5) for p in enumerate_family(k, Family.CAYLEY)]
+    nests = [(a, b) for a in patterns for b in patterns if a != b and contains(b, a)]
+    swept = {p for pair in _SAME_AVOIDERS for p in pair} | {q for p in _MAX_LED for q in (p, (max(p),) + p)}
+    unequal: set[Word] = set()
+    for n in range(1, n_max + 1):
+        avoiders = {p: avoider_words(n, p) for p in sorted(swept)}
+        for a, b in _SAME_AVOIDERS:
+            s.note(f"same-avoiders-{format_word(a)}-{format_word(b)}",
+                   [f"n={n}"] if avoiders[a] != avoiders[b] else [])
+        unequal.update(p for p in _MAX_LED if avoiders[p] != avoiders[(max(p),) + p])
+        if n <= top:
+            s.note("containment-monotone", _monotone_misses(enumerate_family(n, Family.REVISED), nests))
+    pairs = tuple(cls.patterns for cls in wilf_classes(2, min(n_max, 6)).classes)
+    return [
+        *(s.check(f"same-avoiders-{format_word(a)}-{format_word(b)}", scope) for a, b in _SAME_AVOIDERS),
+        s.check("prepending-the-maximum-is-neutral", scope, (format_word(p) for p in _MAX_LED if p in unequal)),
+        s.check("containment-monotone", f"n<={top}, patterns k<=4"),
+        s.check("length-2-classes", f"n<={min(n_max, 6)}",
+                [str(pairs)] if pairs != (((1, 1),), ((1, 2), (2, 1))) else []),
+        s.check("length-3-classes-match-table", f"n<={min(n_max, 8)}",
+                _class_misses({frozenset(cls.patterns) for cls in wilf_classes(3, min(n_max, 8)).classes})),
+    ]
 
 
 _SUITES: dict[str, Callable[[int], list[Check]]] = {

@@ -60,8 +60,11 @@ def check_word(x: Iterable[int]) -> Word:
     if not w:
         raise ValueError("word must be nonempty")
     for v in w:
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise ValueError(f"word entries must be integers >= 1, got {v!r}")
+        # every word the maps build comes through here, so a plain int
+        # takes the cheap test and only anything else the full one
+        if type(v) is not int or v < 1:
+            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+                raise ValueError(f"word entries must be integers >= 1, got {v!r}")
     return w
 
 
@@ -79,14 +82,11 @@ def parse_word(text: str) -> Word:
     text = text.strip()
     if not text:
         raise ValueError("empty word")
-    if "," in text:
-        parts = [p.strip() for p in text.split(",")]
-        if any(not p.isdigit() for p in parts):
-            raise ValueError(f"bad word: {text!r}")
-        return check_word(tuple(int(p) for p in parts))
-    if not text.isdigit():
+    parts = [p.strip() for p in text.split(",")] if "," in text else list(text)
+    # str.isdigit alone also accepts characters such as "²" that int() rejects
+    if not all(p.isascii() and p.isdigit() for p in parts):
         raise ValueError(f"bad word: {text!r}")
-    return check_word(tuple(int(c) for c in text))
+    return check_word(tuple(int(p) for p in parts))
 
 
 def format_word(x: Iterable[int]) -> str:

@@ -1,64 +1,42 @@
 """Acceptance battery: every headline count, identity, and bijection.
 
 Each test covers one numbered criterion and prints a single PASS/FAIL
-line (visible under ``pytest -s``).  All comparisons are exact; the
-whole file is budgeted to finish within a few minutes.
+line (visible under ``pytest -s``).  Most criteria run `rascent verify`
+suites at the sizes given here and require every returned check to
+pass; the claims no suite states are checked directly.  All comparisons
+are exact; the whole file is budgeted to finish within a few minutes.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 
 from rascent import (
     Family,
-    OPEN_111_PREFIX,
-    PowerSeries,
-    Rule,
-    TABLE_ROWS,
     add_entry,
-    ascent_tops,
-    avoids,
     avoider_words,
-    bell_numbers,
-    closed_form,
     count_avoiders,
     count_family,
     enumerate_family,
     expand_gf,
-    family_members,
-    fishburn,
     format_word,
-    level_totals,
-    matches_form,
     remove_entry,
-    revise,
-    shift_trim,
-    stirling2,
+    run_suite,
     system_132,
-    unrevise,
 )
 
 
-def _report(number, label, problems):
+@lru_cache(maxsize=None)
+def _suite(name, n_max=9):
+    # several criteria share a suite run, so each runs once
+    return tuple(run_suite(name, n_max))
+
+
+def _report(number, label, problems=(), suites=()):
+    problems = list(problems) + [
+        f"{c.suite}.{c.name} [{c.scope}]: {c.counterexample}"
+        for name, n_max in suites for c in _suite(name, n_max) if not c.passed]
     status = "FAIL" if problems else "PASS"
     print(f"criterion {number:2d} {status}  {label}")
     assert not problems, f"criterion {number}: " + "; ".join(problems[:5])
-
-
-@lru_cache(maxsize=None)
-def revised(n):
-    if n <= 10:
-        return family_members(n, Family.REVISED)
-    return tuple(enumerate_family(n, Family.REVISED))
-
-
-@lru_cache(maxsize=None)
-def avoider_count(n, pattern):
-    return count_avoiders(n, pattern)
-
-
-@lru_cache(maxsize=None)
-def avoider_set(n, pattern):
-    return frozenset(avoider_words(n, pattern))
 
 
 def test_criterion_01_counts_match_series():
@@ -69,118 +47,38 @@ def test_criterion_01_counts_match_series():
         got = count_family(n, Family.REVISED)
         if got != expected:
             problems.append(f"length {n}: counted {got}, series says {expected}")
-    totals = level_totals(Rule.FULL, 25)
-    if tuple(totals) != series[:25]:
-        problems.append("tree totals diverge from the series through level 25")
-    _report(1, "family counts match the product-sum series", problems)
+    _report(1, "family counts match the product-sum series", problems,
+            suites=[("gentree", 9)])
 
 
 def test_criterion_02_revision_bijection_and_extension():
-    problems = []
-    prev_images = {}
-    for n in range(1, 11):
-        images = {}
-        for x in family_members(n, Family.ASCENT):
-            trace = revise(x)
-            images[x] = trace.revised
-            if unrevise(trace.revised) != x:
-                problems.append(f"inversion broke at {format_word(x)}")
-            if len(ascent_tops(x)) != max(trace.revised):
-                problems.append(f"top count mismatch at {format_word(x)}")
-            if n >= 2 and trace.revised != add_entry(prev_images[x[:-1]], x[-1]):
-                problems.append(f"one-step recursion broke at {format_word(x)}")
-        image_set = set(images.values())
-        if len(image_set) != len(images):
-            problems.append(f"not injective at length {n}")
-        if image_set != set(revised(n + 1)):
-            problems.append(f"not onto at length {n}")
-        prev_images = images
-    for n in range(1, 11):
-        for x in revised(n):
-            for v in range(1, max(x) + 2):
-                if remove_entry(add_entry(x, v)) != x:
-                    problems.append(f"peel broke at {format_word(x)} + {v}")
-    _report(2, "revision is a bijection; peeling undoes extension", problems)
+    # addrom's extension check starts at length 2
+    problems = [f"peel broke at {format_word(x)} + {v}"
+                for x in enumerate_family(1, Family.REVISED)
+                for v in range(1, max(x) + 2) if remove_entry(add_entry(x, v)) != x]
+    _report(2, "revision is a bijection; peeling undoes extension", problems,
+            suites=[("eta", 10), ("addrom", 10)])
 
 
 def test_criterion_03_closed_forms_match_brute_force():
-    problems = []
-    for group in TABLE_ROWS:
-        for pattern in group:
-            for n in range(2, 13):
-                expected = closed_form(pattern, n)
-                got = avoider_count(n, pattern)
-                if got != expected:
-                    problems.append(
-                        f"{format_word(pattern)} at length {n}: "
-                        f"brute {got}, formula {expected}")
-    prefix = tuple(avoider_count(n, (1, 1, 1)) for n in range(2, 9))
-    if prefix != OPEN_111_PREFIX:
-        problems.append(f"111 prefix came out as {prefix}")
-    _report(3, "avoidance table rows reproduce exactly", problems)
+    _report(3, "avoidance table rows reproduce exactly", suites=[("table1", 12)])
 
 
 def test_criterion_04_series_pins_and_quadratic_identities():
-    problems = []
-    if expand_gf("b123", 10)[1:] != (1, 2, 4, 9, 22, 57, 154, 429, 1223):
-        problems.append("123 expansion off")
-    if expand_gf("b132", 10) != (1, 1, 2, 5, 13, 35, 97, 275, 794, 2327):
-        problems.append("132 expansion off")
-    order = 30
-    t = PowerSeries.variable(order)
-    disc = t ** 4 + 2 * t ** 2 - 4 * t + 1
-
-    def lift(name):
-        coeffs = [Fraction(0)] + [Fraction(c) for c in expand_gf(name, order)]
-        return PowerSeries.from_coefficients(coeffs, order)
-
-    if (2 * (t - 1) * lift("b123") - t * t + 1) ** 2 != disc.truncate(order):
-        problems.append("123 quadratic identity fails at order 30")
-    if (t * t - 2 * t + 1 - 2 * t * lift("b132")) ** 2 != disc.truncate(order):
-        problems.append("132 quadratic identity fails at order 30")
-    _report(4, "series expansions and quadratic identities hold", problems)
+    _report(4, "series expansions and quadratic identities hold", suites=[("series", 9)])
 
 
 def test_criterion_05_forms_characterize_avoiders():
-    problems = []
-    for form in ("221", "312", "321", "122", "211"):
-        pattern = tuple(int(ch) for ch in form)
-        for n in range(2, 11):
-            accepted = {x for x in revised(n) if matches_form(x, form)}
-            if accepted != avoider_set(n, pattern):
-                problems.append(f"form {form} at length {n}")
-    _report(5, "structural forms accept exactly the avoiders", problems)
+    _report(5, "structural forms accept exactly the avoiders", suites=[("forms", 10)])
 
 
 def test_criterion_06_avoider_set_equalities():
-    problems = []
-    pairs = [
-        ((2, 3, 1), (3, 2, 1)),
-        ((1, 2, 1), (2, 1, 1)),
-        ((1, 2), (2, 1, 2)),
-        ((1, 2, 1), (2, 1, 2, 1)),
-        ((2, 3, 1), (3, 2, 3, 1)),
-        ((1, 3, 2), (3, 1, 3, 2)),
-    ]
-    for a, b in pairs:
-        for n in range(1, 11):
-            if avoider_set(n, a) != avoider_set(n, b):
-                problems.append(
-                    f"{format_word(a)} vs {format_word(b)} at length {n}")
-    _report(6, "equal-avoider pattern pairs agree as sets", problems)
+    _report(6, "equal-avoider pattern pairs agree as sets", suites=[("wilf", 10)])
 
 
 def test_criterion_07_123_tree_matches_counts():
-    problems = []
-    totals = level_totals(Rule.AVOID123, 24)
-    series = expand_gf("b123", 25)
-    if tuple(totals) != series[1:]:
-        problems.append("tree totals diverge from the series through order 25")
-    for n in range(1, 13):
-        expected = 1 if n == 1 else totals[n - 2]
-        if avoider_count(n, (1, 2, 3)) != expected:
-            problems.append(f"tree vs brute force at length {n}")
-    _report(7, "123 generating tree reproduces the counts", problems)
+    _report(7, "123 generating tree reproduces the counts",
+            suites=[("table1", 12), ("gentree", 9)])
 
 
 def test_criterion_08_132_recurrence_system():
@@ -197,37 +95,14 @@ def test_criterion_08_132_recurrence_system():
         if state.s[n] != len(fresh_max):
             problems.append(f"s at {n}: {state.s[n]} vs {len(fresh_max)}")
     for n in range(2, 13):
-        if state.s[n + 1] != avoider_count(n, (1, 2, 3)):
+        if state.s[n + 1] != count_avoiders(n, (1, 2, 3)):
             problems.append(f"s link at {n}")
     _report(8, "132 recurrence system matches direct counts", problems)
 
 
 def test_criterion_09_112_refined_by_maximum():
-    problems = []
-    bells = bell_numbers(10)
-    for n in range(2, 11):
-        words = avoider_set(n, (1, 1, 2))
-        by_max = {}
-        for x in words:
-            by_max[max(x)] = by_max.get(max(x), 0) + 1
-        for m in range(2, n + 1):
-            if by_max.get(m, 0) != stirling2(n - 1, n - m):
-                problems.append(f"length {n} maximum {m}")
-        if len(words) != bells[n - 1]:
-            problems.append(f"row sum at length {n}")
-    _report(9, "112 avoiders refine into Stirling counts", problems)
+    _report(9, "112 avoiders refine into Stirling counts", suites=[("table1", 12)])
 
 
 def test_criterion_10_shift_trim_bijection():
-    problems = []
-    if shift_trim((6, 4, 6, 3, 6, 1, 2, 6, 5, 6)) != (1, 5, 1, 4, 1, 2, 3, 1, 6):
-        problems.append("worked value off")
-    for n in range(1, 10):
-        images = [shift_trim(y) for y in avoider_set(n + 1, (2, 1, 1))]
-        target = {x for x in family_members(n, Family.MODIFIED)
-                  if avoids(x, (1, 2, 2))}
-        if len(set(images)) != len(images):
-            problems.append(f"not injective at length {n + 1}")
-        if set(images) != target:
-            problems.append(f"not onto at length {n + 1}")
-    _report(10, "shift-trim is a bijection between the two classes", problems)
+    _report(10, "shift-trim is a bijection between the two classes", suites=[("phi", 10)])

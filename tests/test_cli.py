@@ -1,6 +1,10 @@
 """Command-line behavior: output shapes, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -107,6 +111,16 @@ def test_count_usage_errors(capsys):
     code, _, err = run(capsys, "count", "--n-max", "3", "--method", "tree",
                        "--dump-labels", "--format", "csv")
     assert code == 2
+    for argv in (("count", "--avoid", "1234567"),
+                 ("count", "--avoid", "13"),
+                 ("count", "--avoid", "\u00b2"),
+                 ("count", "--cap-override", "-1"),
+                 ("enumerate", "--n", "0"),
+                 ("enumerate", "--n", "3", "--avoid", "\u00b2"),
+                 ("enumerate", "--n", "3", "--cap-override", "-1")):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith(f"rascent {argv[0]}: ") and "invalid literal" not in err
 
 
 def test_count_cap_violation(capsys):
@@ -165,6 +179,16 @@ def test_wilf_guards(capsys):
     assert code == 2
     code, _, _ = run(capsys, "wilf", "--pattern-length", "2", "--n-max", "15")
     assert code == 1
+
+
+def test_closed_pipe_exits_quietly():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    with subprocess.Popen([sys.executable, "-m", "rascent.cli", "enumerate", "--n", "10"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() and proc.stdout.readline()
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        assert proc.stderr.read() == b""
 
 
 def test_argparse_usage_exit(capsys):

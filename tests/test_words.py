@@ -121,6 +121,9 @@ def test_serialization_examples():
     assert format_word((10, 1, 2)) == "10,1,2"
     assert parse_word("10,1,2") == (10, 1, 2)
     assert parse_word("212") == (2, 1, 2)
+    for text in ("\u00b2", "1,\u00b2"):
+        with pytest.raises(ValueError, match="bad word"):
+            parse_word(text)
 
 
 @given(st.one_of(
