@@ -157,6 +157,9 @@ def _cmd_count(args: argparse.Namespace, out) -> int:
     cap = _cap(args)
     if "brute" in methods and args.n_max > cap:
         raise CapExceededError(f"length {args.n_max} exceeds cap {cap}")
+    if "oracle" in methods and pattern is not None and closed_form(pattern, 1) is None:
+        print(f"rascent count: {format_word(pattern)} has no closed form; the oracle column is omitted",
+              file=sys.stderr)
     rule = Rule.FULL if pattern is None else Rule.AVOID123
     totals = level_totals(rule, args.n_max - 1) if "tree" in methods and args.n_max >= 2 else ()
 

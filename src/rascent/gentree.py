@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .maps import add_entry
-from .patterns import _ends_with_occurrence, _relation_table, avoids
+from .patterns import avoids
 from .words import DEFAULT_CAP, CapExceededError, Family, Word, check_word, is_member
 
 Label = tuple[int, int]
@@ -163,22 +163,14 @@ def expand_level(rule: Rule, n: int, cap: int = DEFAULT_CAP) -> list[Word]:
         raise ValueError("tree levels start at length 2")
     if n > cap:
         raise CapExceededError(f"length {n} exceeds cap {cap}")
-    rel = _relation_table(_PATTERN_123)
     words = [ROOT_WORD]
     for _ in range(n - 2):
         nxt: list[Word] = []
         for w in words:
             for v in range(1, max(w) + 2):
                 child = add_entry(w, v)
-                if rule is Rule.AVOID123:
-                    # add_entry may bump earlier entries, so the check
-                    # runs on the child itself.  A parent that avoids
-                    # the pattern can only gain occurrences through the
-                    # appended position: bumps never create new strict
-                    # rises inside the prefix.
-                    if _ends_with_occurrence(list(child[:-1]), child[-1],
-                                             _PATTERN_123, rel):
-                        continue
+                if rule is Rule.AVOID123 and not avoids(child, _PATTERN_123):
+                    continue
                 nxt.append(child)
         words = nxt
     return sorted(words)

@@ -5,13 +5,24 @@ p in a word x is a subsequence of x that is order-isomorphic to p with
 equalities preserved: picked entries compare to each other exactly as
 the corresponding pattern entries do.  So 4134232 has two occurrences
 of 123 (134 and 123) and none of 112.
+
+One occurrence core answers every question.  A pattern is compiled
+once into a plan that binds its slots in a chosen order; each plan step
+records either the earlier step whose value it must equal, or the two
+earlier steps whose values it must lie strictly between.  A single
+recursion applies that one constraint to each candidate entry.
+Counting, containment and avoidance bind the slots in pattern order;
+the search veto binds the last slot first, to the candidate value, so
+that a match in the prefix is exactly an occurrence the candidate would
+complete.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .words import (
     DEFAULT_CAP,
@@ -41,50 +52,54 @@ def check_pattern(p: Iterable[int]) -> Word:
     return w
 
 
-def _cmp(a: int, b: int) -> int:
-    return (a > b) - (a < b)
+def _plan(p: Word, order: Sequence[int]) -> tuple[tuple[int, int, int], ...]:
+    """Compile p for binding its slots in the given order.
 
+    Step s binds slot order[s] and becomes (lo, hi, strict).  With
+    strict 0, lo == hi is the earlier step whose value it must equal;
+    with strict 1, it must lie strictly between the values of steps lo
+    and hi.  A missing bound is -2 or -1, which index the sentinels 0
+    and infinity that `_chosen` puts after the step values.
 
-def _occurrences(w: Word, p: Word, first_only: bool) -> int:
-    """Number of occurrences of p in w; with first_only, 1 as soon as
-    one is found.
-
-    Pattern value classes are bound to word values one at a time; each
-    candidate position must respect every binding made so far, which
-    prunes hopeless partial matches early.
+    >>> _plan((1, 2, 1), range(3))
+    ((-2, -1, 1), (0, -1, 1), (0, 0, 0))
     """
-    k = len(p)
-    n = len(w)
-    bound: dict[int, int] = {}
+    steps = []
+    for s, slot in enumerate(order):
+        seen = {p[order[t]]: t for t in range(s)}
+        c = p[slot]
+        if c in seen:
+            steps.append((seen[c], seen[c], 0))
+        else:
+            lo = max((d for d in seen if d < c), default=None)
+            hi = min((d for d in seen if d > c), default=None)
+            steps.append((-2 if lo is None else seen[lo], -1 if hi is None else seen[hi], 1))
+    return tuple(steps)
 
-    def rec(s: int, start: int) -> int:
-        if s == k:
-            return 1
-        c = p[s]
-        fixed = bound.get(c)
-        if fixed is None:
-            lo = max((bound[d] for d in bound if d < c), default=None)
-            hi = min((bound[d] for d in bound if d > c), default=None)
-        total = 0
-        for i in range(start, n - (k - s) + 1):
-            v = w[i]
-            if fixed is not None:
-                if v != fixed:
-                    continue
-                total += rec(s + 1, i + 1)
-            else:
-                if lo is not None and v <= lo:
-                    continue
-                if hi is not None and v >= hi:
-                    continue
-                bound[c] = v
-                total += rec(s + 1, i + 1)
-                del bound[c]
+
+def _chosen(plan: tuple) -> list:
+    # one value per step, then the two bound sentinels (entries are >= 1)
+    return [0] * len(plan) + [0, math.inf]
+
+
+def _match(w: Sequence[int], plan: tuple, chosen: list, s: int, start: int,
+           first_only: bool) -> int:
+    """Number of ways to bind steps s.. of the plan to positions start..
+    of w, in increasing order, given the values of steps ..s-1 in chosen;
+    with first_only, 1 as soon as one is found."""
+    if s == len(plan):
+        return 1
+    lo, hi, strict = plan[s]
+    low, high = chosen[lo] + strict, chosen[hi] - strict
+    total = 0
+    for i in range(start, len(w) - len(plan) + s + 1):
+        v = w[i]
+        if low <= v <= high:
+            chosen[s] = v
+            total += _match(w, plan, chosen, s + 1, i + 1, first_only)
             if first_only and total:
-                return total
-        return total
-
-    return rec(0, 0)
+                break
+    return total
 
 
 def count_occurrences(x: Iterable[int], pattern: Iterable[int]) -> int:
@@ -95,12 +110,16 @@ def count_occurrences(x: Iterable[int], pattern: Iterable[int]) -> int:
     >>> count_occurrences((4, 1, 3, 4, 2, 3, 2), (1, 2, 3))
     2
     """
-    return _occurrences(check_word(x), check_pattern(pattern), first_only=False)
+    w, p = check_word(x), check_pattern(pattern)
+    plan = _plan(p, range(len(p)))
+    return _match(w, plan, _chosen(plan), 0, 0, first_only=False)
 
 
 def contains(x: Iterable[int], pattern: Iterable[int]) -> bool:
     """Existence version of count_occurrences, with early exit."""
-    return _occurrences(check_word(x), check_pattern(pattern), first_only=True) > 0
+    w, p = check_word(x), check_pattern(pattern)
+    plan = _plan(p, range(len(p)))
+    return _match(w, plan, _chosen(plan), 0, 0, first_only=True) > 0
 
 
 def avoids(x: Iterable[int], pattern: Iterable[int]) -> bool:
@@ -114,87 +133,16 @@ def avoids(x: Iterable[int], pattern: Iterable[int]) -> bool:
     return not contains(x, pattern)
 
 
-def _relation_table(p: Word) -> tuple[tuple[int, ...], ...]:
-    k = len(p)
-    return tuple(tuple(_cmp(p[s], p[t]) for t in range(k)) for s in range(k))
-
-
-def _ends_with_occurrence(entries: list[int], v: int, p: Word,
-                          rel: tuple[tuple[int, ...], ...]) -> bool:
-    """Does appending v to entries create an occurrence whose last
-    matched position is the new one?  Specialized loops for the short
-    patterns that dominate; entries is the prefix without v."""
-    k = len(p)
-    m = len(entries)
-    if m < k - 1:
-        return False
-    if k == 1:
-        return True
-    if k == 2:
-        r = rel[0][1]
-        for u in entries:
-            if _cmp(u, v) == r:
-                return True
-        return False
-    if k == 3:
-        r02, r12, r01 = rel[0][2], rel[1][2], rel[0][1]
-        for j in range(m - 1, 0, -1):
-            b = entries[j]
-            if _cmp(b, v) != r12:
-                continue
-            for i in range(j):
-                a = entries[i]
-                if _cmp(a, b) == r01 and _cmp(a, v) == r02:
-                    return True
-        return False
-    if k == 4:
-        r03, r13, r23 = rel[0][3], rel[1][3], rel[2][3]
-        r01, r02, r12 = rel[0][1], rel[0][2], rel[1][2]
-        for t in range(m - 1, 1, -1):
-            c = entries[t]
-            if _cmp(c, v) != r23:
-                continue
-            for j in range(1, t):
-                b = entries[j]
-                if _cmp(b, c) != r12 or _cmp(b, v) != r13:
-                    continue
-                for i in range(j):
-                    a = entries[i]
-                    if _cmp(a, b) == r01 and _cmp(a, c) == r02 and _cmp(a, v) == r03:
-                        return True
-        return False
-    # General fallback for patterns of length 5 or 6.
-    chosen = [0] * k
-    chosen[k - 1] = v
-
-    def rec(s: int, start: int) -> bool:
-        if s == k - 1:
-            return True
-        for i in range(start, m - (k - 2 - s)):
-            u = entries[i]
-            ok = _cmp(u, v) == rel[s][k - 1]
-            if ok:
-                for t in range(s):
-                    if _cmp(chosen[t], u) != rel[t][s]:
-                        ok = False
-                        break
-            if ok:
-                chosen[s] = u
-                if rec(s + 1, i + 1):
-                    return True
-        return False
-
-    return rec(0, 0)
-
-
 def _avoid_filter(p: Word):
-    rel = _relation_table(p)
-    k1 = len(p) == 1
+    # The last slot is bound first, to the candidate, so a match of the
+    # rest in the prefix is an occurrence the candidate would complete.
+    k = len(p)
+    plan = _plan(p, (k - 1,) + tuple(range(k - 1)))
+    chosen = _chosen(plan)
 
     def accept(entries: list[int], v: int) -> bool:
-        if k1:
-            return False
-        return not _ends_with_occurrence(entries, v, p, rel)
+        chosen[0] = v
+        return not _match(entries, plan, chosen, 1, 0, True)
 
     return accept
 

@@ -34,7 +34,7 @@ from .oracle import (
 )
 from .patterns import avoider_words, avoids, contains, count_avoiders, matches_form, wilf_classes
 from .series import PowerSeries
-from .words import Family, Word, ascent_bottoms, ascent_tops, enumerate_family, format_word, nub, stat_sets
+from .words import DEFAULT_CAP, Family, Word, ascent_bottoms, ascent_tops, enumerate_family, format_word, nub, stat_sets
 
 
 @dataclass(frozen=True)
@@ -196,7 +196,8 @@ def suite_addrom(n_max: int) -> list[Check]:
         s.check("extension-stays-in-family", scope),
         s.check("every-word-is-an-extension", f"n<={n_max + 1}"),
         s.check("complement-swaps-families", scope),
-        s.check("complement-swaps-statistics", "n<=7 full, n<=9 sampled"),
+        s.check("complement-swaps-statistics",
+                f"n<={min(n_max, 7)} full" + (", n<=9 sampled" if n_max >= 8 else "")),
         s.check("first-entry-is-repeated-max", scope),
     ]
 
@@ -268,11 +269,11 @@ def suite_table1(n_max: int) -> list[Check]:
     checks = [
         s.check("row-" + "-".join(format_word(p) for p in group), f"n<={n_max}",
                 (f"{format_word(pat)} at n={n}" for pat in group for n in range(1, n_max + 1)
-                 if count_avoiders(n, pat) != closed_form(pat, n)))
+                 if count_avoiders(n, pat, Family.REVISED, cap=DEFAULT_CAP) != closed_form(pat, n)))
         for group in TABLE_ROWS
     ]
     top = min(n_max, 8)
-    got = tuple(count_avoiders(n, (1, 1, 1)) for n in range(2, top + 1))
+    got = tuple(count_avoiders(n, (1, 1, 1), Family.REVISED, cap=DEFAULT_CAP) for n in range(2, top + 1))
     checks.append(s.check("row-111-open-prefix", f"n<={top}",
                           [f"prefix {got}"] if got != OPEN_111_PREFIX[: top - 1] else []))
     top = min(n_max, 10)
@@ -418,15 +419,18 @@ def suite_wilf(n_max: int) -> list[Check]:
         unequal.update(p for p in _MAX_LED if avoiders[p] != avoiders[(max(p),) + p])
         if n <= top:
             s.note("containment-monotone", _monotone_misses(enumerate_family(n, Family.REVISED), nests))
-    pairs = tuple(cls.patterns for cls in wilf_classes(2, min(n_max, 6)).classes)
+    # the table's classes first separate at n=2 (length 2) and n=6 (length 3),
+    # so the class checks never run below those sizes
+    top2, top3 = max(2, min(n_max, 6)), max(6, min(n_max, 8))
+    pairs = tuple(cls.patterns for cls in wilf_classes(2, top2).classes)
     return [
         *(s.check(f"same-avoiders-{format_word(a)}-{format_word(b)}", scope) for a, b in _SAME_AVOIDERS),
         s.check("prepending-the-maximum-is-neutral", scope, (format_word(p) for p in _MAX_LED if p in unequal)),
         s.check("containment-monotone", f"n<={top}, patterns k<=4"),
-        s.check("length-2-classes", f"n<={min(n_max, 6)}",
+        s.check("length-2-classes", f"n<={top2}",
                 [str(pairs)] if pairs != (((1, 1),), ((1, 2), (2, 1))) else []),
-        s.check("length-3-classes-match-table", f"n<={min(n_max, 8)}",
-                _class_misses({frozenset(cls.patterns) for cls in wilf_classes(3, min(n_max, 8)).classes})),
+        s.check("length-3-classes-match-table", f"n<={top3}",
+                _class_misses({frozenset(cls.patterns) for cls in wilf_classes(3, top3).classes})),
     ]
 
 

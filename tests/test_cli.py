@@ -55,10 +55,11 @@ def test_enumerate_other_families(capsys):
 
 
 def test_count_cross_checked(capsys):
-    code, out, _ = run(capsys, "count", "--avoid", "132", "--n-max", "8",
+    code, out, err = run(capsys, "count", "--avoid", "132", "--n-max", "8",
                        "--method", "brute,oracle")
     assert code == 0
     lines = out.splitlines()
+    assert err == ""
     assert lines[0] == "n=1  brute=1  oracle=1  ok"
     assert lines[-1] == "n=8  brute=275  oracle=275  ok"
 
@@ -76,6 +77,10 @@ def test_count_open_row(capsys):
     assert code == 0
     counts = [line.split("brute=")[1] for line in out.splitlines()]
     assert counts == ["1", "1", "1", "2", "4", "10", "29", "97"]
+    # no closed form: same rows and exit code, and a note on stderr says why
+    assert run(capsys, "count", "--avoid", "111", "--n-max", "8",
+               "--method", "brute,oracle") == (0, out, "rascent count: 111 has no closed form; "
+                                               "the oracle column is omitted\n")
 
 
 def test_count_jsonl_has_agreement_rows(capsys):

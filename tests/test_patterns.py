@@ -39,7 +39,8 @@ def test_occurrences_respect_equalities():
 
 
 words_strategy = st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=8)
-patterns_strategy = st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=4)
+patterns_strategy = st.lists(st.integers(min_value=1, max_value=PATTERN_CAP), min_size=1,
+                             max_size=PATTERN_CAP)
 
 
 @settings(max_examples=300)
@@ -62,11 +63,15 @@ def test_pattern_cap():
 
 
 def test_avoider_sets_match_filtered_enumeration():
+    # one pattern of every length up to the cap; the naive search is the oracle
     for n in range(1, 8):
-        for pattern in [(1, 1), (1, 2, 3), (2, 1, 1), (1, 2, 1)]:
+        for pattern in [(1,), (1, 1), (1, 2, 3), (2, 1, 1), (1, 2, 1), (2, 1, 2, 1),
+                        (1, 2, 3, 4, 5), (2, 1, 2, 1, 2, 1)]:
             got = avoider_words(n, pattern)
-            want = [w for w in family_members(n, Family.REVISED) if avoids(w, pattern)]
+            want = [w for w in family_members(n, Family.REVISED)
+                    if reference.count_subsequence_matches(w, pattern) == 0]
             assert got == want
+            assert count_avoiders(n, pattern) == len(want)
 
 
 def test_avoider_count_spot_values():

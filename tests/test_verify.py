@@ -2,6 +2,7 @@
 
 import pytest
 
+from rascent.patterns import count_avoiders
 from rascent.verify import SUITE_NAMES, run_suite
 
 
@@ -12,12 +13,13 @@ def test_suite_names_fixed():
 
 @pytest.mark.parametrize("name", SUITE_NAMES)
 def test_each_suite_passes_at_small_size(name):
-    checks = run_suite(name, 6)
-    assert checks, name
-    for c in checks:
-        assert c.passed, (c.name, c.counterexample)
-        assert c.suite == name
-        assert c.scope
+    for n_max in (1, 3, 6):
+        checks = run_suite(name, n_max)
+        assert checks, name
+        for c in checks:
+            assert c.passed, (n_max, c.name, c.counterexample)
+            assert c.suite == name
+            assert c.scope
 
 
 def test_all_concatenates_every_suite():
@@ -34,3 +36,16 @@ def test_unknown_suite_and_bad_size():
         run_suite("bogus", 5)
     with pytest.raises(ValueError):
         run_suite("eta", 0)
+
+
+def test_scope_names_only_what_ran():
+    by_name = {c.name: c for c in run_suite("addrom", 4)}
+    assert by_name["complement-swaps-statistics"].scope == "n<=4 full"
+
+
+def test_avoider_counts_are_shared_across_suites():
+    count_avoiders.cache_clear()
+    run_suite("table1", 6)
+    before = count_avoiders.cache_info()
+    run_suite("wilf", 6)
+    assert count_avoiders.cache_info().hits > before.hits
