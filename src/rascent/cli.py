@@ -24,16 +24,16 @@ from typing import Iterable, Sequence
 
 from .gentree import Rule, label_counts, level_totals
 from .oracle import GF_NAMES, closed_form, expand_gf, fishburn
-from .patterns import WILF_LENGTH_CAP, avoider_words, check_pattern, count_avoiders, wilf_classes
+from .patterns import WILF_LENGTH_CAP, avoid_filter, check_pattern, count_avoiders, wilf_classes
 from .verify import SUITE_NAMES, run_suite
 from .words import (
     CapExceededError,
     DEFAULT_CAP,
     Family,
     count_family,
-    enumerate_family,
     format_word,
     parse_word,
+    search_family,
 )
 
 MAX_ORDER = 64
@@ -106,22 +106,25 @@ def _cap(args: argparse.Namespace) -> int:
 def _cmd_enumerate(args: argparse.Namespace, out) -> int:
     if args.n < 1:
         raise _Usage("--n must be positive")
-    family = _family(args.family)
-    pattern = _pattern(args.avoid) if args.avoid else None
-    if pattern is None:
-        words = enumerate_family(args.n, family, cap=_cap(args))
-    else:
-        words = avoider_words(args.n, pattern, family, cap=_cap(args))
-    if args.format == "csv":
+    n, family = args.n, _family(args.family)
+    accept = avoid_filter(_pattern(args.avoid)) if args.avoid else None
+    cap = _cap(args)
+    if n > cap:  # before the csv header, so a refused run writes nothing
+        raise CapExceededError(f"length {n} exceeds cap {cap}")
+    # each word is written from the search's leaf, so the first line
+    # goes out long before the search ends and no list is ever built
+    if args.format == "jsonl":
+        def leaf(entries: list[int]) -> None:
+            out.write(json.dumps({"n": n, "word": format_word(entries)}) + "\n")
+    elif args.format == "csv":
         out.write("n,word\n")
-    for w in words:
-        text = format_word(w)
-        if args.format == "jsonl":
-            out.write(json.dumps({"n": args.n, "word": text}) + "\n")
-        elif args.format == "csv":
-            out.write(f"{args.n},{text}\n")
-        else:
-            out.write(text + "\n")
+
+        def leaf(entries: list[int]) -> None:
+            out.write(f"{n},{format_word(entries)}\n")
+    else:
+        def leaf(entries: list[int]) -> None:
+            out.write(format_word(entries) + "\n")
+    search_family(n, family, leaf, accept=accept, cap=cap)
     return 0
 
 

@@ -153,12 +153,17 @@ def _peel(w: Word) -> Word:
 def complement(x: Iterable[int]) -> Word:
     """Replace each entry v by max(x) + 1 - v.
 
-    An involution on Cayley permutations; it swaps ascent tops with
-    descent tops and ascent bottoms with descent bottoms while leaving
-    the leftmost-occurrence set alone.
+    An involution on Cayley permutations.  Every ascent becomes a
+    descent at the same two positions, so the ascent tops of x are the
+    descent bottoms of its complement and the ascent bottoms of x are
+    its descent tops; the leftmost-occurrence set stays the same.
 
-    >>> complement((1, 3, 5, 1, 4, 4, 3, 1, 2))
+    >>> from rascent.words import ascent_tops, descent_bottoms
+    >>> w = (1, 3, 5, 1, 4, 4, 3, 1, 2)
+    >>> complement(w)
     (5, 3, 1, 5, 2, 2, 3, 5, 4)
+    >>> sorted(ascent_tops(w)), sorted(descent_bottoms(complement(w)))
+    ([1, 2, 3, 5, 9], [1, 2, 3, 5, 9])
     """
     w = check_word(x)
     m = max(w)

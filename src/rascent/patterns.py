@@ -26,6 +26,7 @@ from typing import Iterable, Optional, Sequence
 
 from .words import (
     DEFAULT_CAP,
+    AcceptFn,
     Family,
     Word,
     check_word,
@@ -133,9 +134,18 @@ def avoids(x: Iterable[int], pattern: Iterable[int]) -> bool:
     return not contains(x, pattern)
 
 
-def _avoid_filter(p: Word):
+def avoid_filter(pattern: Iterable[int]) -> AcceptFn:
+    """The search veto for avoiding the pattern: an `accept` for
+    `search_family` that refuses exactly the candidates completing an
+    occurrence in a prefix that avoids it.
+
+    >>> veto = avoid_filter((1, 2))
+    >>> veto([2, 1], 1), veto([2, 1], 3)
+    (True, False)
+    """
     # The last slot is bound first, to the candidate, so a match of the
     # rest in the prefix is an occurrence the candidate would complete.
+    p = check_pattern(pattern)
     k = len(p)
     plan = _plan(p, (k - 1,) + tuple(range(k - 1)))
     chosen = _chosen(plan)
@@ -152,10 +162,9 @@ def avoider_words(n: int, pattern: Iterable[int], family: Family = Family.REVISE
     """Members of the family of length n avoiding the pattern, in
     lexicographic order.  Generation prunes any prefix that already
     contains the pattern, so the work scales with the avoider count."""
-    p = check_pattern(pattern)
     out: list[Word] = []
     search_family(n, family, lambda e: out.append(tuple(e)),
-                  accept=_avoid_filter(p), cap=cap)
+                  accept=avoid_filter(pattern), cap=cap)
     return out
 
 
@@ -167,13 +176,12 @@ def count_avoiders(n: int, pattern: Word, family: Family = Family.REVISED,
     >>> count_avoiders(6, (1, 1, 1))
     10
     """
-    p = check_pattern(pattern)
     total = [0]
 
     def leaf(_entries: list[int]) -> None:
         total[0] += 1
 
-    search_family(n, family, leaf, accept=_avoid_filter(p), cap=cap)
+    search_family(n, family, leaf, accept=avoid_filter(pattern), cap=cap)
     return total[0]
 
 

@@ -151,8 +151,9 @@ def _complement_misses(n: int, revised: Sequence[Word]) -> Iterator[str]:
 
 def _stat_misses(words: Iterable[Word]) -> Iterator[str]:
     for w in words:
-        a, b = stat_sets(w), stat_sets(complement(w))
-        if a.asctop != b.desbot or a.ascbot != b.destop or nub(w) != nub(complement(w)):
+        c = complement(w)
+        a, b = stat_sets(w), stat_sets(c)
+        if a.asctop != b.desbot or a.ascbot != b.destop or nub(w) != nub(c):
             yield format_word(w)
 
 

@@ -109,25 +109,39 @@ def ascent_tops(x: Iterable[int]) -> frozenset[int]:
     >>> sorted(ascent_tops((1, 3, 5, 1, 4, 4, 3, 1, 2)))
     [1, 2, 3, 5, 9]
     """
-    w = check_word(x)
-    return frozenset({1} | {i for i in range(2, len(w) + 1) if w[i - 2] < w[i - 1]})
+    return _ascent_tops(check_word(x))
 
 
 def ascent_bottoms(x: Iterable[int]) -> frozenset[int]:
     """Positions i < n with x_i < x_{i+1}, together with position 1."""
-    w = check_word(x)
-    return frozenset({1} | {i for i in range(1, len(w)) if w[i - 1] < w[i]})
+    return _ascent_bottoms(check_word(x))
 
 
 def descent_tops(x: Iterable[int]) -> frozenset[int]:
     """Positions i < n with x_i > x_{i+1}, together with position 1."""
-    w = check_word(x)
-    return frozenset({1} | {i for i in range(1, len(w)) if w[i - 1] > w[i]})
+    return _descent_tops(check_word(x))
 
 
 def descent_bottoms(x: Iterable[int]) -> frozenset[int]:
     """Positions i with x_{i-1} > x_i, together with position 1."""
-    w = check_word(x)
+    return _descent_bottoms(check_word(x))
+
+
+# The four statistics of a word already validated by check_word.
+
+def _ascent_tops(w: Word) -> frozenset[int]:
+    return frozenset({1} | {i for i in range(2, len(w) + 1) if w[i - 2] < w[i - 1]})
+
+
+def _ascent_bottoms(w: Word) -> frozenset[int]:
+    return frozenset({1} | {i for i in range(1, len(w)) if w[i - 1] < w[i]})
+
+
+def _descent_tops(w: Word) -> frozenset[int]:
+    return frozenset({1} | {i for i in range(1, len(w)) if w[i - 1] > w[i]})
+
+
+def _descent_bottoms(w: Word) -> frozenset[int]:
     return frozenset({1} | {i for i in range(2, len(w) + 1) if w[i - 2] > w[i - 1]})
 
 
@@ -145,10 +159,10 @@ def stat_sets(x: Iterable[int]) -> StatSets:
     """Compute all four statistic sets in one go."""
     w = check_word(x)
     return StatSets(
-        asctop=ascent_tops(w),
-        ascbot=ascent_bottoms(w),
-        destop=descent_tops(w),
-        desbot=descent_bottoms(w),
+        asctop=_ascent_tops(w),
+        ascbot=_ascent_bottoms(w),
+        destop=_descent_tops(w),
+        desbot=_descent_bottoms(w),
     )
 
 
@@ -222,11 +236,35 @@ def is_member(x: Iterable[int], family: Family) -> bool:
     raise ValueError(f"unknown family {family!r}")
 
 
-# Membership of every family is decided by constraints that close over
-# prefixes, so generation is a straight backtracking search.  The only
-# non-local conditions are Cayley completion (no value of [1..max] may
-# stay missing) and, for the REVISED/DESTOP pair, the fact that the
-# final position must repeat an earlier value.  Candidate values are
+# Membership of every family is decided by a local rule: a leftmost
+# occurrence must sit after a smaller entry (MODIFIED) or a larger one
+# (DESBOT), or before a larger entry (REVISED) or a smaller one
+# (DESTOP), and in the last two families the final entry must repeat an
+# earlier value.  Generation is a backtracking search that applies the
+# rule one step at a time and, on top of it, an exact completion bound:
+# a candidate v is tried only if need, the fewest further entries that
+# can complete a member after it, fits in the open slots.  need depends
+# on the family, on v, on whether v is new, and on M, the set of values
+# missing below the new maximum:
+#
+#   family            M empty           M not empty
+#   CAYLEY            0                 |M|
+#   MODIFIED          0                 |M| if min M > v; inf if 1 in M;
+#                                       else |M|+1
+#   DESBOT            0                 |M| if max M < v; else |M|+1
+#   REVISED, v new    inf if v = max;   inf if v = max; |M|+1 if
+#                     else 1            min M > v; else |M|+2
+#   REVISED, repeat   0                 |M|+1 if min M < v; else inf
+#   DESTOP, v new     inf if v = 1;     inf if 1 in M or v = 1; |M|+1 if
+#                     else 1            max M < v; else |M|+2
+#   DESTOP, repeat    0                 inf if 1 in M; |M|+1 if
+#                                       max M > v; else |M|+2
+#
+# Position 1 of REVISED and DESTOP constrains nothing after it, so there
+# need is |M|+1 (inf for DESTOP once 1 is missing), and 0 when M is
+# empty.  A member can always grow by repeating its last entry, so
+# need <= rest is exactly "some member extends this prefix": every
+# node the search visits leads to a member.  Candidate values are
 # tried in increasing order, which makes the output lexicographic.
 
 AcceptFn = Callable[[list[int], int], bool]
@@ -247,63 +285,74 @@ _MODE = {
 
 def _search_cayley(n: int, mode: int, leaf: Callable[[list[int]], None],
                    accept: Optional[AcceptFn]) -> None:
-    counts = [0] * (n + 2)
     entries: list[int] = []
-    fresh: list[bool] = []
 
-    def rec(maxv: int, missing: int) -> None:
+    def rec(maxv: int, seen: int, fresh: bool) -> None:
+        # seen has bit v set for every value v placed so far; fresh says
+        # whether the last entry was new.  m is the bit set M after v;
+        # as v is not in M, m & (bit - 1) tests min M < v, m > bit tests
+        # max M > v, and m & 2 tests 1 in M.
         p = len(entries) + 1
         rest = n - p
         last = entries[-1] if entries else 0
-        # Any value above maxv + rest - missing + 1 leaves more unseen
-        # values below the maximum than there are open slots.
+        gaps = ((2 << maxv) - 2) ^ seen
+        missing = gaps.bit_count()
+        # Any value above this leaves more unseen values below the
+        # maximum than there are open slots.
         limit = maxv + rest - missing + 1
         for v in range(1, limit + 1):
-            if v <= maxv:
-                nm = missing - (1 if counts[v] == 0 else 0)
-                if nm > rest:
+            bit = 1 << v
+            isnew = not seen & bit
+            if not mode:
+                if missing > rest and not isnew:
                     continue
-                newmax = maxv
             else:
-                nm = missing + (v - maxv - 1)
-                if nm > rest:
-                    break
-                newmax = v
-            isnew = counts[v] == 0
-            if p > 1:
+                if v > maxv:
+                    m = gaps | (bit - (2 << maxv))  # maxv+1 .. v-1 go missing
+                else:
+                    m = gaps ^ bit if isnew else gaps
                 if mode == _IMMEDIATE_ASC:
-                    if isnew != (last < v):
+                    if p > 1 and isnew != (last < v):
+                        continue
+                    if m and (m & 2 or m.bit_count() + (m & (bit - 1) > 0) > rest):
                         continue
                 elif mode == _IMMEDIATE_DESC:
-                    if isnew != (last > v):
+                    if p > 1 and isnew != (last > v):
+                        continue
+                    if m and m.bit_count() + (m > bit) > rest:
                         continue
                 elif mode == _DEFERRED_ASC:
-                    if p > 2 and fresh[-1] != (last < v):
+                    if p == 1:
+                        if m and m.bit_count() + 1 > rest:
+                            continue
+                    elif p > 2 and fresh != (last < v):
                         continue
-                    if p == n and isnew:
+                    elif isnew:
+                        if v > maxv or m.bit_count() + 1 + (m & (bit - 1) > 0) > rest:
+                            continue
+                    elif m and (not m & (bit - 1) or m.bit_count() + 1 > rest):
                         continue
                 elif mode == _DEFERRED_DESC:
-                    if p > 2 and fresh[-1] != (last > v):
+                    if p == 1:
+                        if m:
+                            continue
+                    elif p > 2 and fresh != (last > v):
                         continue
-                    if p == n and isnew:
+                    elif isnew:
+                        if v == 1 or m & 2 or m.bit_count() + 1 + (m > bit) > rest:
+                            continue
+                    elif m and (m & 2 or m.bit_count() + 1 + (m < bit) > rest):
                         continue
             if accept is not None and not accept(entries, v):
                 continue
-            if p == n:
-                if nm == 0:
-                    entries.append(v)
-                    leaf(entries)
-                    entries.pop()
+            entries.append(v)
+            if rest:
+                rec(v if v > maxv else maxv, seen | bit, isnew)
             else:
-                entries.append(v)
-                fresh.append(isnew)
-                counts[v] += 1
-                rec(newmax, nm)
-                counts[v] -= 1
-                fresh.pop()
-                entries.pop()
+                leaf(entries)
+            entries.pop()
 
-    rec(0, 0)
+    rec(0, 0, False)
 
 
 def _search_ascent(n: int, leaf: Callable[[list[int]], None],
@@ -343,7 +392,9 @@ def search_family(n: int, family: Family, leaf: Callable[[list[int]], None],
     reached; it must copy if it wants to keep the word.  accept, when
     given, is consulted with (prefix, candidate) before every extension
     and may veto it; vetoing must be monotone for the search to stay
-    exhaustive over the accepted set.
+    exhaustive over the accepted set.  accept only sees candidates
+    that some member of length n extends: the family rule and the
+    exact completion bound (see above) are applied first.
     """
     if n < 1:
         raise ValueError("length must be >= 1")

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import rascent.cli as cli
 from rascent.cli import main
 
 
@@ -39,6 +40,30 @@ def test_enumerate_jsonl_and_csv(capsys):
     assert rows == [{"n": 3, "word": "111"}, {"n": 3, "word": "212"}]
     code, out, _ = run(capsys, "enumerate", "--n", "3", "--format", "csv")
     assert out.splitlines() == ["n,word", "3,111", "3,212"]
+
+
+@pytest.mark.parametrize("extra", [(), ("--avoid", "123")])
+def test_enumerate_streams_from_the_search(monkeypatch, extra):
+    # the first line is written while the search is still running
+    real, state = cli.search_family, {"done": False, "first_write_after_search": None}
+
+    def search_family(*args, **kwargs):
+        real(*args, **kwargs)
+        state["done"] = True
+
+    class Stdout:
+        def write(self, text):
+            if state["first_write_after_search"] is None:
+                state["first_write_after_search"] = state["done"]
+            return len(text)
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(cli, "search_family", search_family)
+    monkeypatch.setattr(sys, "stdout", Stdout())
+    assert main(["enumerate", "--n", "8", *extra]) == 0
+    assert state["first_write_after_search"] is False
 
 
 def test_enumerate_cap_violation(capsys):

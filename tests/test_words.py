@@ -22,8 +22,10 @@ from rascent.words import (
     is_member,
     nub,
     parse_word,
+    search_family,
     stat_sets,
 )
+from rascent.oracle import fishburn
 
 import reference
 
@@ -72,6 +74,32 @@ def test_enumeration_matches_naive_filter(family, n):
     want = reference.brute_family(n, family.value)
     assert got == sorted(want)
     assert len(set(got)) == len(got)
+
+
+@pytest.mark.parametrize("family, n_max", [
+    (Family.CAYLEY, 6), (Family.MODIFIED, 9), (Family.DESBOT, 9),
+    (Family.REVISED, 9), (Family.DESTOP, 9),
+])
+def test_search_visits_no_dead_end(family, n_max):
+    # the completion bound is exact: every extension the search offers
+    # to accept is a prefix of some member
+    for n in range(1, n_max + 1):
+        prefixes = {w[:k] for w in enumerate_family(n, family) for k in range(1, n + 1)}
+        offered = set()
+        search_family(n, family, lambda e: None,
+                      accept=lambda e, v: offered.add((*e, v)) or True)
+        assert offered <= prefixes, sorted(offered - prefixes)[:5]
+
+
+@pytest.mark.parametrize("family, shift", [
+    (Family.DESTOP, 1), (Family.MODIFIED, 0), (Family.DESBOT, 0),
+])
+def test_family_counts_match_fishburn(family, shift):
+    # modified and descent-bottom words of length n number F_n; the
+    # descent-top words, like the revised ones, F_{n-1}
+    f = (1,) + fishburn(9)
+    for n in range(1, 10):
+        assert count_family(n, family) == f[n - shift]
 
 
 def test_counts_against_printed_sequence():
