@@ -8,10 +8,11 @@ Five subcommands tie the library together:
     gf          expand one of the four generating functions
     wilf        group patterns by their avoidance counts
 
-Exit codes: 0 success, 1 verification or resource failure or a closed
-output pipe, 2 usage error.  Output is deterministic: identical
-arguments give identical bytes.  Plain lines are meant for people,
-JSONL for machines; CSV is offered where the output is a table.
+Exit codes: 0 success, 1 verification or resource failure, a closed
+output pipe or an interrupt (Ctrl-C), 2 usage error.  Output is
+deterministic: identical arguments give identical bytes.  Plain lines
+are meant for people, JSONL for machines; CSV is offered where the
+output is a table.
 """
 
 from __future__ import annotations
@@ -290,7 +291,13 @@ def main(argv: Iterable[str] | None = None) -> int:
     args = parser.parse_args(list(argv) if argv is not None else None)
     handler = _HANDLERS[args.command]
     try:
-        code = handler(args, sys.stdout)
+        try:
+            code = handler(args, sys.stdout)
+        except KeyboardInterrupt:
+            # Ctrl-C: one line instead of a traceback; what was written
+            # still goes out below
+            print(f"rascent {args.command}: interrupted", file=sys.stderr)
+            code = 1
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .maps import add_entry
-from .patterns import avoids
+from .patterns import avoids, occurrence_test
 from .words import DEFAULT_CAP, CapExceededError, Family, Word, check_word, is_member
 
 Label = tuple[int, int]
@@ -163,13 +163,14 @@ def expand_level(rule: Rule, n: int, cap: int = DEFAULT_CAP) -> list[Word]:
         raise ValueError("tree levels start at length 2")
     if n > cap:
         raise CapExceededError(f"length {n} exceeds cap {cap}")
+    has_123 = occurrence_test(_PATTERN_123)
     words = [ROOT_WORD]
     for _ in range(n - 2):
         nxt: list[Word] = []
         for w in words:
             for v in range(1, max(w) + 2):
                 child = add_entry(w, v)
-                if rule is Rule.AVOID123 and not avoids(child, _PATTERN_123):
+                if rule is Rule.AVOID123 and has_123(child):
                     continue
                 nxt.append(child)
         words = nxt

@@ -14,7 +14,9 @@ recursion applies that one constraint to each candidate entry.
 Counting, containment and avoidance bind the slots in pattern order;
 the search veto binds the last slot first, to the candidate value, so
 that a match in the prefix is exactly an occurrence the candidate would
-complete.
+complete.  Two factories compile a pattern once for many words:
+`occurrence_test` for containment (what `contains` wraps) and
+`avoid_filter` for the search veto.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .words import (
     DEFAULT_CAP,
@@ -116,11 +118,30 @@ def count_occurrences(x: Iterable[int], pattern: Iterable[int]) -> int:
     return _match(w, plan, _chosen(plan), 0, 0, first_only=False)
 
 
+def occurrence_test(pattern: Iterable[int]) -> Callable[[Word], bool]:
+    """Compile the pattern once into a containment test for many words.
+
+    The test takes a word already validated by check_word and says
+    whether the pattern occurs in it, stopping at the first occurrence.
+
+    >>> has_12 = occurrence_test((1, 2))
+    >>> has_12((2, 1, 1)), has_12((2, 1, 2))
+    (False, True)
+    """
+    p = check_pattern(pattern)
+    plan = _plan(p, range(len(p)))
+    chosen = _chosen(plan)
+
+    def test(w: Word) -> bool:
+        return _match(w, plan, chosen, 0, 0, True) > 0
+
+    return test
+
+
 def contains(x: Iterable[int], pattern: Iterable[int]) -> bool:
     """Existence version of count_occurrences, with early exit."""
-    w, p = check_word(x), check_pattern(pattern)
-    plan = _plan(p, range(len(p)))
-    return _match(w, plan, _chosen(plan), 0, 0, first_only=True) > 0
+    w = check_word(x)
+    return occurrence_test(pattern)(w)
 
 
 def avoids(x: Iterable[int], pattern: Iterable[int]) -> bool:

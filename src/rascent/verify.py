@@ -6,8 +6,12 @@ the definitions so they can be pointed at larger sizes from the command
 line; the acceptance tests drive them at their own ranges.  A suite
 sweeps the sizes once: it builds the objects of each size a single time
 and derives every check from them.  Each check is a lazy stream of
-counterexamples of which only the first is drawn.  Suite names are part
-of the CLI contract.
+counterexamples of which only the first is drawn.  A sweep pays once
+per word and once per pattern: a pattern tested against many words is
+compiled once for all of them (`occurrence_test`), and the statistics
+sweep validates each word at most once, in `complement`, and computes
+only the statistic sets its check compares.  Suite names are part of
+the CLI contract.
 """
 
 from __future__ import annotations
@@ -32,9 +36,22 @@ from .oracle import (
     stirling2,
     system_132,
 )
-from .patterns import avoider_words, avoids, contains, count_avoiders, matches_form, wilf_classes
+from .patterns import avoider_words, count_avoiders, matches_form, occurrence_test, wilf_classes
 from .series import PowerSeries
-from .words import DEFAULT_CAP, Family, Word, ascent_bottoms, ascent_tops, enumerate_family, format_word, nub, stat_sets
+from .words import (
+    DEFAULT_CAP,
+    Family,
+    Word,
+    _ascent_bottoms,
+    _ascent_tops,
+    _descent_bottoms,
+    _descent_tops,
+    _nub,
+    ascent_bottoms,
+    ascent_tops,
+    enumerate_family,
+    format_word,
+)
 
 
 @dataclass(frozen=True)
@@ -150,10 +167,11 @@ def _complement_misses(n: int, revised: Sequence[Word]) -> Iterator[str]:
 
 
 def _stat_misses(words: Iterable[Word]) -> Iterator[str]:
+    # complement validates w; nothing else does, and c is built valid
     for w in words:
         c = complement(w)
-        a, b = stat_sets(w), stat_sets(c)
-        if a.asctop != b.desbot or a.ascbot != b.destop or nub(w) != nub(c):
+        if (_ascent_tops(w) != _descent_bottoms(c) or _ascent_bottoms(w) != _descent_tops(c)
+                or _nub(w) != _nub(c)):
             yield format_word(w)
 
 
@@ -167,8 +185,8 @@ def _sampled_cayley(lengths: Iterable[int], per_length: int) -> Iterator[Word]:
 def _max_misses(words: Sequence[Word]) -> Iterator[str]:
     for w in words:
         m = max(w)
-        s = stat_sets(w)
-        if w[0] != m or (len(w) >= 2 and w.count(m) < 2) or m != len(s.ascbot) or m != len(s.asctop):
+        if (w[0] != m or (len(w) >= 2 and w.count(m) < 2)
+                or m != len(_ascent_bottoms(w)) or m != len(_ascent_tops(w))):
             yield format_word(w)
 
 
@@ -206,10 +224,11 @@ def suite_addrom(n_max: int) -> list[Check]:
 # ------------------------------------------------------------ gentree
 
 def _rule_misses(words: Sequence[Word], rule: Rule) -> Iterator[str]:
+    has_123 = occurrence_test((1, 2, 3))
     for x in words:
         kids = [add_entry(x, v) for v in range(1, max(x) + 2)]
         if rule is Rule.AVOID123:
-            kids = [y for y in kids if avoids(y, (1, 2, 3))]
+            kids = [y for y in kids if not has_123(y)]
         if Counter(word_label(y, rule) for y in kids) != Counter(_RULE_CHILDREN[rule](word_label(x, rule))):
             yield format_word(x)
 
@@ -285,9 +304,10 @@ def suite_table1(n_max: int) -> list[Check]:
 # ---------------------------------------------------------------- phi
 
 def _shift_trim_misses(top: int) -> Iterator[str]:
+    has_122 = occurrence_test((1, 2, 2))
     for n in range(1, top + 1):
         image = [shift_trim(w) for w in avoider_words(n + 1, (2, 1, 1))]
-        target = [w for w in enumerate_family(n, Family.MODIFIED) if avoids(w, (1, 2, 2))]
+        target = [w for w in enumerate_family(n, Family.MODIFIED) if not has_122(w)]
         if len(set(image)) != len(image) or sorted(image) != sorted(target):
             yield f"n={n}"
 
@@ -383,16 +403,17 @@ _SAME_AVOIDERS = (((2, 3, 1), (3, 2, 1)), ((1, 2, 1), (2, 1, 1)))
 _MAX_LED = ((1, 2), (1, 2, 1), (2, 3, 1), (1, 3, 2))
 
 
-def _monotone_misses(words: Sequence[Word], nests: list[tuple[Word, Word]]) -> Iterator[str]:
+def _monotone_misses(words: Sequence[Word], nests: list[tuple[Word, Word]],
+                     has: dict[Word, Callable[[Word], bool]]) -> Iterator[str]:
     for w in words:
         # a pattern's avoidance is computed once, and only when needed
         avoided: dict[Word, bool] = {}
         for a, b in nests:
             if a not in avoided:
-                avoided[a] = avoids(w, a)
+                avoided[a] = not has[a](w)
             if avoided[a]:
                 if b not in avoided:
-                    avoided[b] = avoids(w, b)
+                    avoided[b] = not has[b](w)
                 if not avoided[b]:
                     yield f"{format_word(w)} vs {format_word(a)}<{format_word(b)}"
 
@@ -408,8 +429,9 @@ def suite_wilf(n_max: int) -> list[Check]:
     s = _Sweep("wilf")
     scope = f"n<={n_max}"
     top = min(n_max, 8)
-    patterns = [p for k in range(1, 5) for p in enumerate_family(k, Family.CAYLEY)]
-    nests = [(a, b) for a in patterns for b in patterns if a != b and contains(b, a)]
+    # one compiled test per pattern serves the nests and every word
+    has = {p: occurrence_test(p) for k in range(1, 5) for p in enumerate_family(k, Family.CAYLEY)}
+    nests = [(a, b) for a in has for b in has if a != b and has[a](b)]
     swept = {p for pair in _SAME_AVOIDERS for p in pair} | {q for p in _MAX_LED for q in (p, (max(p),) + p)}
     unequal: set[Word] = set()
     for n in range(1, n_max + 1):
@@ -419,7 +441,7 @@ def suite_wilf(n_max: int) -> list[Check]:
                    [f"n={n}"] if avoiders[a] != avoiders[b] else [])
         unequal.update(p for p in _MAX_LED if avoiders[p] != avoiders[(max(p),) + p])
         if n <= top:
-            s.note("containment-monotone", _monotone_misses(enumerate_family(n, Family.REVISED), nests))
+            s.note("containment-monotone", _monotone_misses(enumerate_family(n, Family.REVISED), nests, has))
     # the table's classes first separate at n=2 (length 2) and n=6 (length 3),
     # so the class checks never run below those sizes
     top2, top3 = max(2, min(n_max, 6)), max(6, min(n_max, 8))

@@ -127,7 +127,7 @@ def descent_bottoms(x: Iterable[int]) -> frozenset[int]:
     return _descent_bottoms(check_word(x))
 
 
-# The four statistics of a word already validated by check_word.
+# The four statistics and the nub of a word already validated by check_word.
 
 def _ascent_tops(w: Word) -> frozenset[int]:
     return frozenset({1} | {i for i in range(2, len(w) + 1) if w[i - 2] < w[i - 1]})
@@ -143,6 +143,14 @@ def _descent_tops(w: Word) -> frozenset[int]:
 
 def _descent_bottoms(w: Word) -> frozenset[int]:
     return frozenset({1} | {i for i in range(2, len(w) + 1) if w[i - 2] > w[i - 1]})
+
+
+def _nub(w: Word) -> frozenset[int]:
+    first: dict[int, int] = {}
+    for i, v in enumerate(w, start=1):
+        if v not in first:
+            first[v] = i
+    return frozenset(first.values())
 
 
 @dataclass(frozen=True)
@@ -172,14 +180,7 @@ def nub(x: Iterable[int]) -> frozenset[int]:
     >>> sorted(nub((2, 1, 2)))
     [1, 2]
     """
-    w = check_word(x)
-    seen: set[int] = set()
-    out: list[int] = []
-    for i, v in enumerate(w, start=1):
-        if v not in seen:
-            seen.add(v)
-            out.append(i)
-    return frozenset(out)
+    return _nub(check_word(x))
 
 
 def is_cayley(x: Iterable[int]) -> bool:

@@ -1,12 +1,16 @@
 """Command-line behavior: output shapes, formats, exit codes."""
 
+import contextlib
+import io
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rascent.cli as cli
 from rascent.cli import main
@@ -221,6 +225,18 @@ def test_closed_pipe_exits_quietly():
         assert proc.stderr.read() == b""
 
 
+def test_interrupt_exits_quietly():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    with subprocess.Popen([sys.executable, "-m", "rascent.cli", "enumerate", "--family", "cayley", "--n", "9"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline()
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert b"Traceback" not in err
+        assert err == b"rascent enumerate: interrupted\n"
+
+
 def test_argparse_usage_exit(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["enumerate", "--family", "bogus", "--n", "3"])
@@ -235,3 +251,62 @@ def test_byte_determinism(capsys):
     a = run(capsys, "verify", "--suite", "forms", "--n-max", "5")
     b = run(capsys, "verify", "--suite", "forms", "--n-max", "5")
     assert a == b
+
+
+# A grammar for argv: every subcommand with its flags, sizes kept small
+# (--n and --n-max at most 6, --order at most 16; --n-max is always
+# given, as its default is 9).  One value in four, and now and then a
+# whole token, is junk: a negative number, a non-ASCII digit, a stray
+# flag or plain text.
+_JUNK = st.sampled_from(["", " ", "x", "-", "--", "--bogus", "-h", "1.5", "1e2", "NaN", "☃",
+                         "-1", "-7", "-0", "²", "٣", "５", "۱"])
+_SIZE = st.integers(-2, 6).map(str)
+_CAP = st.integers(-2, 16).map(str)
+_FORMATS = st.sampled_from(["plain", "jsonl", "csv"])
+_FAMILIES = st.sampled_from(["asc", "cayley", "mod", "rasc", "destop", "desbot"])
+_PATTERNS = st.one_of(st.sampled_from(["1", "11", "123", "111", "212", "1234", "212121", "1234567", "13"]),
+                      st.text(alphabet="0123,", max_size=7))
+# subcommand: (flags it needs, other flags); None marks a flag without a value
+_GRAMMAR = {
+    "enumerate": ({"--n": _SIZE},
+                  {"--family": _FAMILIES, "--avoid": _PATTERNS, "--format": _FORMATS, "--cap-override": _CAP}),
+    "count": ({"--n-max": _SIZE},
+              {"--family": _FAMILIES, "--avoid": _PATTERNS,
+               "--method": st.sampled_from(["brute", "tree", "oracle", "brute,tree,oracle", "tree,oracle", ",", "dp"]),
+               "--no-check": None, "--dump-labels": None, "--format": _FORMATS, "--cap-override": _CAP}),
+    "verify": ({"--suite": st.sampled_from(["eta", "addrom", "gentree", "table1", "phi", "series", "forms",
+                                            "wilf", "all"]), "--n-max": _SIZE},
+               {"--format": _FORMATS}),
+    "gf": ({"--name": st.sampled_from(["fishburn", "b123", "b132", "b213", "b999"])},
+           {"--order": st.integers(-2, 16).map(str), "--format": _FORMATS}),
+    "wilf": ({"--pattern-length": st.integers(-1, 5).map(str), "--n-max": _SIZE}, {"--cap-override": _CAP}),
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_GRAMMAR) + ["bogus"]))
+    needed, optional = _GRAMMAR.get(command, ({}, {}))
+    flags = list(needed) + draw(st.lists(st.sampled_from(sorted(optional)), max_size=4)) if optional else []
+    argv = [command]
+    for flag in draw(st.permutations(flags)):
+        argv.append(flag)
+        values = needed.get(flag, optional.get(flag))
+        if values is not None:
+            argv.append(draw(_JUNK if draw(st.integers(0, 3)) == 0 else values))
+    if draw(st.integers(0, 3)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(_JUNK))
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argv())
+def test_any_argv_keeps_the_exit_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: usage errors and --help
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -16,6 +16,7 @@ from rascent.patterns import (
     count_occurrences,
     matches_form,
     max_prefix_equivalent,
+    occurrence_test,
     wilf_classes,
 )
 from rascent.words import Family, family_members
@@ -52,6 +53,10 @@ def test_occurrences_match_naive_search(word_values, pattern_values):
     assert count_occurrences(text, pattern) == expected
     assert contains(text, pattern) == (expected > 0)
     assert avoids(text, pattern) == (expected == 0)
+    has = occurrence_test(pattern)
+    assert has(text) == (expected > 0)
+    # a compiled test serves many words; the next one sees no stale state
+    assert has(text[::-1]) == (reference.count_subsequence_matches(text[::-1], pattern) > 0)
 
 
 def test_pattern_cap():
@@ -60,6 +65,8 @@ def test_pattern_cap():
         check_pattern((1, 2, 3, 4, 5, 6, 7))
     with pytest.raises(ValueError):
         check_pattern((1, 3))  # not a Cayley permutation
+    with pytest.raises(ValueError):
+        occurrence_test((1, 3))
 
 
 def test_avoider_sets_match_filtered_enumeration():

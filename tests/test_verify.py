@@ -2,6 +2,7 @@
 
 import pytest
 
+import rascent.verify as verify
 from rascent.patterns import count_avoiders
 from rascent.verify import SUITE_NAMES, run_suite
 
@@ -49,3 +50,30 @@ def test_avoider_counts_are_shared_across_suites():
     before = count_avoiders.cache_info()
     run_suite("wilf", 6)
     assert count_avoiders.cache_info().hits > before.hits
+
+
+def _verdict(suite, name, n_max):
+    return next(c for c in run_suite(suite, n_max) if c.name == name)
+
+
+@pytest.mark.parametrize("fault", ["identity-complement", "swapped-descent-statistics"])
+def test_statistics_check_still_fails_on_a_fault(monkeypatch, fault):
+    if fault == "identity-complement":
+        monkeypatch.setattr(verify, "complement", lambda x: tuple(x))
+    else:
+        monkeypatch.setattr(verify, "_descent_bottoms", verify._descent_tops)
+    check = _verdict("addrom", "complement-swaps-statistics", 4)
+    assert not check.passed and check.counterexample
+
+
+def test_monotonicity_check_still_fails_on_a_wrong_pattern_test(monkeypatch):
+    real = verify.occurrence_test
+
+    def wrong(pattern):
+        # every word "contains" 1111; 11 is in 1111, so a word avoiding 11
+        # but not 1111 breaks monotonicity
+        return (lambda w: True) if tuple(pattern) == (1, 1, 1, 1) else real(pattern)
+
+    monkeypatch.setattr(verify, "occurrence_test", wrong)
+    check = _verdict("wilf", "containment-monotone", 4)
+    assert not check.passed and check.counterexample
