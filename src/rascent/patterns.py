@@ -17,6 +17,13 @@ that a match in the prefix is exactly an occurrence the candidate would
 complete.  Two factories compile a pattern once for many words:
 `occurrence_test` for containment (what `contains` wraps) and
 `avoid_filter` for the search veto.
+
+That core stays the one reference, and the search veto for patterns of
+length 4 to 6.  For length <= 3 the search instead keeps the pattern's
+`frontier`: the bit set of values that would complete an occurrence,
+updated by one step per entry from the values seen and the entry
+itself, so the veto is one bit test.  Tests check the frontier against
+the naive oracle and the search it drives against the core.
 """
 
 from __future__ import annotations
@@ -30,6 +37,8 @@ from .words import (
     DEFAULT_CAP,
     AcceptFn,
     Family,
+    FrontierVeto,
+    StepFn,
     Word,
     check_word,
     enumerate_family,
@@ -155,10 +164,89 @@ def avoids(x: Iterable[int], pattern: Iterable[int]) -> bool:
     return not contains(x, pattern)
 
 
+# The frontier of a pattern p of length <= 3 after a prefix is the bit
+# set of the values v that would complete an occurrence of p ending at
+# v.  Appending u adds every v for which some earlier value a makes
+# (a, u, v) an occurrence; with S the bit set of values before u, and
+# low and high the values of S below and above u, each step below adds
+# those v.  Length 1 forbids every value from the start and length 2
+# uses u alone.  Above u is the negative int ~((2 << u) - 1), so no
+# mask needs an upper bound.
+
+def _above(u: int) -> int:
+    return ~((2 << u) - 1)
+
+
+def _step_132(forbid: int, seen: int, u: int) -> int:
+    low = seen & (1 << u) - 1  # (min low, u)
+    return forbid | (1 << u) - ((low & -low) << 1) if low else forbid
+
+
+def _step_231(forbid: int, seen: int, u: int) -> int:
+    low = seen & (1 << u) - 1  # below max low
+    return forbid | (1 << low.bit_length() - 1) - 2 if low else forbid
+
+
+def _step_213(forbid: int, seen: int, u: int) -> int:
+    high = seen & _above(u)  # above min high
+    return forbid | _above((high & -high).bit_length() - 1) if high else forbid
+
+
+def _step_312(forbid: int, seen: int, u: int) -> int:
+    # (u, max S), empty unless some value above u was seen
+    return forbid | (1 << seen.bit_length() - 1) - (2 << u) if seen >> u + 1 else forbid
+
+
+_FRONTIER_STEPS: dict[Word, StepFn] = {
+    (1,): lambda forbid, seen, u: forbid,
+    (1, 1): lambda forbid, seen, u: forbid | 1 << u,
+    (1, 2): lambda forbid, seen, u: forbid | _above(u),
+    (2, 1): lambda forbid, seen, u: forbid | (1 << u) - 2,
+    # p1 = p2: a = u, so u must be in S
+    (1, 1, 1): lambda forbid, seen, u: forbid | 1 << u if seen >> u & 1 else forbid,
+    (1, 1, 2): lambda forbid, seen, u: forbid | _above(u) if seen >> u & 1 else forbid,
+    (2, 2, 1): lambda forbid, seen, u: forbid | (1 << u) - 2 if seen >> u & 1 else forbid,
+    # p1 < p2: some a in low
+    (1, 2, 3): lambda forbid, seen, u: forbid | _above(u) if seen & (1 << u) - 1 else forbid,
+    (1, 2, 2): lambda forbid, seen, u: forbid | 1 << u if seen & (1 << u) - 1 else forbid,
+    (1, 2, 1): lambda forbid, seen, u: forbid | seen & (1 << u) - 1,
+    (1, 3, 2): _step_132,
+    (2, 3, 1): _step_231,
+    # p1 > p2: some a in high
+    (2, 1, 3): _step_213,
+    (2, 1, 2): lambda forbid, seen, u: forbid | seen & _above(u),
+    (3, 1, 2): _step_312,
+    (2, 1, 1): lambda forbid, seen, u: forbid | 1 << u if seen >> u + 1 else forbid,
+    (3, 2, 1): lambda forbid, seen, u: forbid | (1 << u) - 2 if seen >> u + 1 else forbid,
+}
+
+
+def frontier(pattern: Iterable[int]) -> tuple[int, StepFn]:
+    """The forbidden-next-value frontier of a pattern of length <= 3.
+
+    Returns (init, step): init is the bit set of values that complete an
+    occurrence on their own, and step(forbid, seen, u) the set after u
+    is appended to a prefix with frontier forbid and value bit set seen.
+    Bit v of the set is on exactly when appending v completes a new
+    occurrence.
+
+    >>> init, step = frontier((1, 3, 2))
+    >>> forbid = step(step(init, 0, 2), 1 << 2, 5)  # after the prefix 2 5
+    >>> [v for v in range(1, 8) if forbid >> v & 1]
+    [3, 4]
+    """
+    p = check_pattern(pattern)
+    if len(p) > 3:
+        raise ValueError(f"frontiers cover patterns of length <= 3, got {p}")
+    return (-1 if len(p) == 1 else 0), _FRONTIER_STEPS[p]
+
+
 def avoid_filter(pattern: Iterable[int]) -> AcceptFn:
     """The search veto for avoiding the pattern: an `accept` for
     `search_family` that refuses exactly the candidates completing an
-    occurrence in a prefix that avoids it.
+    occurrence in a prefix that avoids it.  For patterns of length <= 3
+    it is a FrontierVeto, so the search tests one bit of the frontier
+    instead of calling it.
 
     >>> veto = avoid_filter((1, 2))
     >>> veto([2, 1], 1), veto([2, 1], 3)
@@ -175,7 +263,9 @@ def avoid_filter(pattern: Iterable[int]) -> AcceptFn:
         chosen[0] = v
         return not _match(entries, plan, chosen, 1, 0, True)
 
-    return accept
+    if k > 3:
+        return accept
+    return FrontierVeto(accept, *frontier(p))
 
 
 def avoider_words(n: int, pattern: Iterable[int], family: Family = Family.REVISED,

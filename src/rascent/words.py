@@ -267,8 +267,40 @@ def is_member(x: Iterable[int], family: Family) -> bool:
 # need <= rest is exactly "some member extends this prefix": every
 # node the search visits leads to a member.  Candidate values are
 # tried in increasing order, which makes the output lexicographic.
+#
+# The search state is the prefix, its maximum, the bit set of values
+# seen, whether the last entry was new, and a fifth field: forbid, the
+# bit set of values a pattern veto refuses as the next entry.  A
+# FrontierVeto (what patterns.avoid_filter builds for patterns of
+# length <= 3) carries forbid's initial value and its update step,
+# whose case table lives in patterns.frontier; the search then tests
+# one bit where it would call the veto.  Any other accept leaves forbid
+# at 0 and is called as before, and so is every veto in the ascent
+# search, which has no bit set of values seen.
 
 AcceptFn = Callable[[list[int], int], bool]
+StepFn = Callable[[int, int, int], int]
+
+
+class FrontierVeto:
+    """A pattern veto that also carries the pattern's frontier.
+
+    Called with (prefix, candidate) it is a plain AcceptFn and runs the
+    veto it wraps.  The frontier is the bit set of values no next entry
+    may take: init for the empty prefix, and step(forbid, seen, v) for
+    the set after v is appended to a prefix whose values are the bit
+    set seen.  The search over the Cayley-based families threads the
+    set through its state instead of calling the veto.
+    """
+
+    __slots__ = ("veto", "init", "step")
+
+    def __init__(self, veto: AcceptFn, init: int, step: StepFn) -> None:
+        self.veto, self.init, self.step = veto, init, step
+
+    def __call__(self, entries: list[int], v: int) -> bool:
+        return self.veto(entries, v)
+
 
 _IMMEDIATE_ASC = 1  # MODIFIED: new value iff previous entry smaller
 _IMMEDIATE_DESC = 2  # DESBOT: new value iff previous entry bigger
@@ -285,14 +317,16 @@ _MODE = {
 
 
 def _search_cayley(n: int, mode: int, leaf: Callable[[list[int]], None],
-                   accept: Optional[AcceptFn]) -> None:
+                   accept: Optional[AcceptFn], forbid: int, step: Optional[StepFn]) -> None:
     entries: list[int] = []
+    filtered = accept is not None or step is not None
 
-    def rec(maxv: int, seen: int, fresh: bool) -> None:
+    def rec(maxv: int, seen: int, fresh: bool, forbid: int) -> None:
         # seen has bit v set for every value v placed so far; fresh says
-        # whether the last entry was new.  m is the bit set M after v;
-        # as v is not in M, m & (bit - 1) tests min M < v, m > bit tests
-        # max M > v, and m & 2 tests 1 in M.
+        # whether the last entry was new; forbid is the frontier, if
+        # any.  m is the bit set M after v; as v is not in M,
+        # m & (bit - 1) tests min M < v, m > bit tests max M > v, and
+        # m & 2 tests 1 in M.
         p = len(entries) + 1
         rest = n - p
         last = entries[-1] if entries else 0
@@ -344,16 +378,17 @@ def _search_cayley(n: int, mode: int, leaf: Callable[[list[int]], None],
                             continue
                     elif m and (m & 2 or m.bit_count() + 1 + (m < bit) > rest):
                         continue
-            if accept is not None and not accept(entries, v):
+            if filtered and (forbid >> v & 1 or accept is not None and not accept(entries, v)):
                 continue
             entries.append(v)
             if rest:
-                rec(v if v > maxv else maxv, seen | bit, isnew)
+                rec(v if v > maxv else maxv, seen | bit, isnew,
+                    step(forbid, seen, v) if step else forbid)
             else:
                 leaf(entries)
             entries.pop()
 
-    rec(0, 0, False)
+    rec(0, 0, False, forbid)
 
 
 def _search_ascent(n: int, leaf: Callable[[list[int]], None],
@@ -395,16 +430,24 @@ def search_family(n: int, family: Family, leaf: Callable[[list[int]], None],
     and may veto it; vetoing must be monotone for the search to stay
     exhaustive over the accepted set.  accept only sees candidates
     that some member of length n extends: the family rule and the
-    exact completion bound (see above) are applied first.
+    exact completion bound (see above) are applied first.  Except in
+    the ascent family a FrontierVeto is not called: the search tests
+    its frontier instead, which refuses exactly what the veto refuses.
     """
     if n < 1:
         raise ValueError("length must be >= 1")
     if n > cap:
         raise CapExceededError(f"length {n} exceeds cap {cap}")
     if family is Family.ASCENT:
+        # this search keeps no bit set of the values seen, which the
+        # frontier's step needs, so it calls the veto
+        if isinstance(accept, FrontierVeto):
+            accept = accept.veto
         _search_ascent(n, leaf, accept)
+    elif isinstance(accept, FrontierVeto):
+        _search_cayley(n, _MODE[family], leaf, None, accept.init, accept.step)
     else:
-        _search_cayley(n, _MODE[family], leaf, accept)
+        _search_cayley(n, _MODE[family], leaf, accept, 0, None)
 
 
 def enumerate_family(n: int, family: Family, cap: int = DEFAULT_CAP) -> list[Word]:

@@ -8,18 +8,20 @@ from hypothesis import given, settings, strategies as st
 from rascent.patterns import (
     FORM_NAMES,
     PATTERN_CAP,
+    avoid_filter,
     avoider_words,
     avoids,
     check_pattern,
     contains,
     count_avoiders,
     count_occurrences,
+    frontier,
     matches_form,
     max_prefix_equivalent,
     occurrence_test,
     wilf_classes,
 )
-from rascent.words import Family, family_members
+from rascent.words import Family, enumerate_family, family_members, search_family
 from rascent.maps import standardize
 
 import reference
@@ -67,18 +69,48 @@ def test_pattern_cap():
         check_pattern((1, 3))  # not a Cayley permutation
     with pytest.raises(ValueError):
         occurrence_test((1, 3))
+    with pytest.raises(ValueError):
+        frontier((1, 2, 3, 4))  # lengths 4 to 6 keep the matching veto
+
+
+# all 17 Cayley permutations of length 1 to 3
+SHORT_PATTERNS = [p for k in (1, 2, 3) for p in enumerate_family(k, Family.CAYLEY)]
+
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(min_value=1, max_value=7), max_size=8))
+def test_frontier_marks_exactly_the_completing_values(prefix):
+    # prefixes that already contain the pattern are drawn too
+    for pattern in SHORT_PATTERNS:
+        forbid, step = frontier(pattern)
+        seen = 0
+        for u in prefix:
+            forbid, seen = step(forbid, seen, u), seen | 1 << u
+        before = reference.count_subsequence_matches(prefix, pattern)
+        for v in range(1, 10):
+            after = reference.count_subsequence_matches(prefix + [v], pattern)
+            assert (forbid >> v & 1) == (after > before), (pattern, prefix, v)
 
 
 def test_avoider_sets_match_filtered_enumeration():
-    # one pattern of every length up to the cap; the naive search is the oracle
-    for n in range(1, 8):
-        for pattern in [(1,), (1, 1), (1, 2, 3), (2, 1, 1), (1, 2, 1), (2, 1, 2, 1),
-                        (1, 2, 3, 4, 5), (2, 1, 2, 1, 2, 1)]:
-            got = avoider_words(n, pattern)
-            want = [w for w in family_members(n, Family.REVISED)
-                    if reference.count_subsequence_matches(w, pattern) == 0]
-            assert got == want
-            assert count_avoiders(n, pattern) == len(want)
+    # one pattern of every length up to the cap, and every pattern of
+    # length <= 3 in every family; the naive search is the oracle
+    cases = [(Family.REVISED, n, pattern) for n in range(1, 8)
+             for pattern in [(2, 1, 2, 1), (1, 2, 3, 4, 5), (2, 1, 2, 1, 2, 1)]]
+    cases += [(family, n, pattern) for family in Family
+              for n in range(1, {Family.REVISED: 8, Family.CAYLEY: 6}.get(family, 7))
+              for pattern in SHORT_PATTERNS]
+    for family, n, pattern in cases:
+        want = [w for w in enumerate_family(n, family)
+                if reference.count_subsequence_matches(w, pattern) == 0]
+        assert avoider_words(n, pattern, family) == want
+        assert count_avoiders(n, pattern, family) == len(want)
+        # a plain wrapper, as a tracer installs, hides the frontier and
+        # makes the search call the veto itself
+        veto = avoid_filter(pattern)
+        got: list = []
+        search_family(n, family, lambda e: got.append(tuple(e)), accept=lambda e, v: veto(e, v))
+        assert got == want
 
 
 def test_avoider_count_spot_values():
