@@ -18,15 +18,14 @@ output is a table.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .gentree import Rule, label_counts, level_totals
-from .oracle import GF_NAMES, closed_form, expand_gf, fishburn
-from .patterns import WILF_LENGTH_CAP, avoid_filter, check_pattern, count_avoiders, wilf_classes
-from .verify import SUITE_NAMES, run_suite
+# Only what every subcommand needs loads with the parser; each handler
+# imports the modules it runs, so `count --method brute` never loads
+# the generating trees or the verification suites.
+from . import GF_NAMES, SUITE_NAMES
 from .words import (
     CapExceededError,
     DEFAULT_CAP,
@@ -47,6 +46,7 @@ def _family(token: str) -> Family:
 
 
 def _pattern(text: str):
+    from .patterns import check_pattern
     try:
         return check_pattern(parse_word(text))
     except ValueError as exc:
@@ -108,13 +108,18 @@ def _cmd_enumerate(args: argparse.Namespace, out) -> int:
     if args.n < 1:
         raise _Usage("--n must be positive")
     n, family = args.n, _family(args.family)
-    accept = avoid_filter(_pattern(args.avoid)) if args.avoid else None
+    accept = None
+    if args.avoid:
+        from .patterns import avoid_filter
+        accept = avoid_filter(_pattern(args.avoid))
     cap = _cap(args)
     if n > cap:  # before the csv header, so a refused run writes nothing
         raise CapExceededError(f"length {n} exceeds cap {cap}")
     # each word is written from the search's leaf, so the first line
     # goes out long before the search ends and no list is ever built
     if args.format == "jsonl":
+        import json
+
         def leaf(entries: list[int]) -> None:
             out.write(json.dumps({"n": n, "word": format_word(entries)}) + "\n")
     elif args.format == "csv":
@@ -129,15 +134,15 @@ def _cmd_enumerate(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _tree_count(n: int, rule: Rule, totals: Sequence[int]) -> int:
-    # trees start at length 2; the sole length-1 word sits above the root
-    return 1 if n == 1 else totals[n - 2]
-
-
-def _oracle_count(n: int, pattern) -> int | None:
+def _oracle(pattern):
+    """The oracle's count as a function of n, or None when the pattern
+    has no closed form."""
+    from .oracle import closed_form, fishburn
     if pattern is None:
-        return 1 if n == 1 else fishburn(n - 1)[n - 2]
-    return closed_form(pattern, n)
+        return lambda n: 1 if n == 1 else fishburn(n - 1)[n - 2]
+    if closed_form(pattern, 1) is None:
+        return None
+    return lambda n: closed_form(pattern, n)
 
 
 def _cmd_count(args: argparse.Namespace, out) -> int:
@@ -157,15 +162,22 @@ def _cmd_count(args: argparse.Namespace, out) -> int:
         raise _Usage("--dump-labels needs the tree method and plain format")
     if args.n_max < 1:
         raise _Usage("--n-max must be positive")
+    oracle = _oracle(pattern) if "oracle" in methods else None
+    if oracle is None and set(methods) == {"oracle"}:
+        raise _Usage(f"{format_word(pattern)} has no closed form, so --method oracle has nothing to count")
 
     cap = _cap(args)
     if "brute" in methods and args.n_max > cap:
         raise CapExceededError(f"length {args.n_max} exceeds cap {cap}")
-    if "oracle" in methods and pattern is not None and closed_form(pattern, 1) is None:
+    if "oracle" in methods and oracle is None:
         print(f"rascent count: {format_word(pattern)} has no closed form; the oracle column is omitted",
               file=sys.stderr)
-    rule = Rule.FULL if pattern is None else Rule.AVOID123
-    totals = level_totals(rule, args.n_max - 1) if "tree" in methods and args.n_max >= 2 else ()
+    if pattern is not None:  # _pattern has loaded patterns already
+        from .patterns import count_avoiders
+    if "tree" in methods:
+        from .gentree import Rule, label_counts, level_totals
+        rule = Rule.FULL if pattern is None else Rule.AVOID123
+        totals = level_totals(rule, args.n_max - 1) if args.n_max >= 2 else ()
 
     rows: list[tuple[int, str, int]] = []
     for n in range(1, args.n_max + 1):
@@ -175,11 +187,10 @@ def _cmd_count(args: argparse.Namespace, out) -> int:
             else:
                 rows.append((n, "brute", count_avoiders(n, pattern, family, cap=cap)))
         if "tree" in methods:
-            rows.append((n, "tree", _tree_count(n, rule, totals)))
-        if "oracle" in methods:
-            value = _oracle_count(n, pattern)
-            if value is not None:
-                rows.append((n, "oracle", value))
+            # trees start at length 2; the sole length-1 word sits above the root
+            rows.append((n, "tree", 1 if n == 1 else totals[n - 2]))
+        if oracle is not None:
+            rows.append((n, "oracle", oracle(n)))
 
     agree: dict[int, bool] = {}
     for n in range(1, args.n_max + 1):
@@ -190,6 +201,7 @@ def _cmd_count(args: argparse.Namespace, out) -> int:
         for n, method, count in rows:
             out.write(f"{n},{method},{count}\n")
     elif args.format == "jsonl":
+        import json
         for n, method, count in rows:
             out.write(json.dumps({"n": n, "method": method, "count": str(count)}) + "\n")
         for n in sorted(agree):
@@ -215,6 +227,9 @@ def _cmd_count(args: argparse.Namespace, out) -> int:
 def _cmd_verify(args: argparse.Namespace, out) -> int:
     if args.n_max < 1:
         raise _Usage("--n-max must be positive")
+    from .verify import run_suite
+    if args.format == "jsonl":
+        import json
     checks = run_suite(args.suite, args.n_max)
     failed = False
     for c in checks:
@@ -235,8 +250,10 @@ def _cmd_verify(args: argparse.Namespace, out) -> int:
 def _cmd_gf(args: argparse.Namespace, out) -> int:
     if not 1 <= args.order <= MAX_ORDER:
         raise _Usage(f"--order must lie in 1..{MAX_ORDER}")
+    from .oracle import expand_gf
     coeffs = expand_gf(args.name, args.order)
     if args.format == "jsonl":
+        import json
         for k, c in enumerate(coeffs, start=1):
             out.write(json.dumps({"n": k, "count": str(c)}) + "\n")
     elif args.format == "csv":
@@ -249,6 +266,8 @@ def _cmd_gf(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_wilf(args: argparse.Namespace, out) -> int:
+    import json
+    from .patterns import WILF_LENGTH_CAP, wilf_classes
     if not 1 <= args.pattern_length <= WILF_LENGTH_CAP:
         raise _Usage(f"--pattern-length must lie in 1..{WILF_LENGTH_CAP}")
     if args.n_max < 1:

@@ -12,12 +12,13 @@ against the materialized trees.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from .maps import add_entry
-from .patterns import avoids, occurrence_test
-from .words import DEFAULT_CAP, CapExceededError, Family, Word, check_word, is_member
+# Loaded on first use, maybe while a tracer (perfbench/layers.py) has
+# wrapped functions of other modules: so other modules' functions are
+# called through their module, and none is bound at import.
+from . import maps as _maps, patterns as _patterns, words as _words
+from .words import DEFAULT_CAP, CapExceededError, Family, Word
 
 Label = tuple[int, int]
 
@@ -80,8 +81,7 @@ ROOT_LABEL: Label = (1, 1)
 ROOT_WORD: Word = (1, 1)
 
 
-@dataclass(frozen=True)
-class LabelCounts:
+class LabelCounts(NamedTuple):
     """Population of one tree level, keyed by label."""
 
     level: int
@@ -127,10 +127,10 @@ def smallest_rise_top(x: Iterable[int]) -> int:
     >>> smallest_rise_top((5, 4, 5, 3, 4, 2, 3, 1, 3, 3))
     3
     """
-    w = check_word(x)
-    if not is_member(w, Family.REVISED):
+    w = _words.check_word(x)
+    if not _words.is_member(w, Family.REVISED):
         raise ValueError(f"not a revised ascent sequence: {w}")
-    if not avoids(w, _PATTERN_123):
+    if not _patterns.avoids(w, _PATTERN_123):
         raise ValueError(f"word contains the pattern 123: {w}")
     best = None
     lowest = w[0]
@@ -144,7 +144,7 @@ def smallest_rise_top(x: Iterable[int]) -> int:
 
 def word_label(x: Iterable[int], rule: Rule) -> Label:
     """Label of a word under either rule."""
-    w = check_word(x)
+    w = _words.check_word(x)
     if rule is Rule.FULL:
         return (max(w), w[-1])
     return (smallest_rise_top(w), w[-1])
@@ -163,13 +163,13 @@ def expand_level(rule: Rule, n: int, cap: int = DEFAULT_CAP) -> list[Word]:
         raise ValueError("tree levels start at length 2")
     if n > cap:
         raise CapExceededError(f"length {n} exceeds cap {cap}")
-    has_123 = occurrence_test(_PATTERN_123)
+    has_123 = _patterns.occurrence_test(_PATTERN_123)
     words = [ROOT_WORD]
     for _ in range(n - 2):
         nxt: list[Word] = []
         for w in words:
             for v in range(1, max(w) + 2):
-                child = add_entry(w, v)
+                child = _maps.add_entry(w, v)
                 if rule is Rule.AVOID123 and has_123(child):
                     continue
                 nxt.append(child)

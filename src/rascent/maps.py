@@ -10,22 +10,16 @@ both the bijection and the generating trees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from .words import (
-    Family,
-    Word,
-    ascent_bottoms,
-    check_word,
-    is_ascent_sequence,
-    is_member,
-)
-from .patterns import avoids
+# Loaded on first use, maybe while a tracer (perfbench/layers.py) has
+# wrapped functions of other modules: so other modules' functions are
+# called through their module, and none is bound at import.
+from . import patterns as _patterns, words as _words
+from .words import Family, Word
 
 
-@dataclass(frozen=True)
-class ReviseTrace:
+class ReviseTrace(NamedTuple):
     """Full record of one application of `revise`.
 
     source    the ascent sequence that went in
@@ -53,10 +47,10 @@ def revise(x: Iterable[int]) -> ReviseTrace:
     >>> revise((1,)).revised
     (1, 1)
     """
-    w = check_word(x)
-    if not is_ascent_sequence(w):
+    w = _words.check_word(x)
+    if not _words.is_ascent_sequence(w):
         raise ValueError(f"not an ascent sequence: {w}")
-    bottoms = tuple(sorted(ascent_bottoms(w)))
+    bottoms = tuple(sorted(_words.ascent_bottoms(w)))
     relabeled = relabel(w, bottoms)
     revised = (max(relabeled),) + relabeled
     return ReviseTrace(source=w, relabeled=relabeled, revised=revised, bottoms=bottoms)
@@ -71,7 +65,7 @@ def relabel(x: Iterable[int], positions: Iterable[int]) -> Word:
     >>> relabel((1, 2, 1, 3, 2, 1, 2, 4), (1, 3, 6, 7))
     (4, 5, 3, 5, 4, 1, 2, 4)
     """
-    work = list(check_word(x))
+    work = list(_words.check_word(x))
     for i in sorted(positions):
         vi = work[i - 1]
         for j in range(i - 1):
@@ -91,10 +85,10 @@ def unrevise(y: Iterable[int]) -> Word:
     >>> unrevise((1, 1))
     (1,)
     """
-    w = check_word(y)
+    w = _words.check_word(y)
     if len(w) < 2:
         raise ValueError("input must have length >= 2")
-    if not is_member(w, Family.REVISED):
+    if not _words.is_member(w, Family.REVISED):
         raise ValueError(f"not a revised ascent sequence: {w}")
     tail: list[int] = []
     while len(w) > 2:
@@ -117,7 +111,7 @@ def add_entry(x: Iterable[int], v: int) -> Word:
     >>> add_entry((2, 1, 2), 3)
     (3, 1, 2, 3)
     """
-    w = check_word(x)
+    w = _words.check_word(x)
     if not 1 <= v <= max(w) + 1:
         raise ValueError(f"entry {v} out of range for {w}")
     last = w[-1]
@@ -135,7 +129,7 @@ def remove_entry(y: Iterable[int]) -> Word:
     >>> remove_entry((1, 1, 1))
     (1, 1)
     """
-    w = check_word(y)
+    w = _words.check_word(y)
     if len(w) < 2:
         raise ValueError("input must have length >= 2")
     return _peel(w)
@@ -165,7 +159,7 @@ def complement(x: Iterable[int]) -> Word:
     >>> sorted(ascent_tops(w)), sorted(descent_bottoms(complement(w)))
     ([1, 2, 3, 5, 9], [1, 2, 3, 5, 9])
     """
-    w = check_word(x)
+    w = _words.check_word(x)
     m = max(w)
     return tuple(m + 1 - v for v in w)
 
@@ -176,7 +170,7 @@ def standardize(x: Iterable[int]) -> Word:
     >>> standardize((7, 4, 2, 4, 3, 2, 6))
     (5, 3, 1, 3, 2, 1, 4)
     """
-    w = check_word(x)
+    w = _words.check_word(x)
     rank = {v: r for r, v in enumerate(sorted(set(w)), start=1)}
     return tuple(rank[v] for v in w)
 
@@ -192,12 +186,12 @@ def shift_trim(x: Iterable[int]) -> Word:
     >>> shift_trim((6, 4, 6, 3, 6, 1, 2, 6, 5, 6))
     (1, 5, 1, 4, 1, 2, 3, 1, 6)
     """
-    w = check_word(x)
+    w = _words.check_word(x)
     if len(w) < 2:
         raise ValueError("input must have length >= 2")
-    if not is_member(w, Family.REVISED):
+    if not _words.is_member(w, Family.REVISED):
         raise ValueError(f"not a revised ascent sequence: {w}")
-    if not avoids(w, (2, 1, 1)):
+    if not _patterns.avoids(w, (2, 1, 1)):
         raise ValueError(f"input contains the pattern 211: {w}")
     top = max(w) + 1
     shifted = tuple(1 if v + 1 == top else v + 1 for v in w)

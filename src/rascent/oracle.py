@@ -7,14 +7,11 @@ formulas and brute-force counts is what the verification suites check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
-from .series import PowerSeries
+from . import GF_NAMES
 from .words import Word, check_word
-
-GF_NAMES = ("fishburn", "b123", "b132", "b213")
 
 
 def _poly_mul_trunc(a: list[int], b: list[int], order: int) -> list[int]:
@@ -125,8 +122,7 @@ def recurrence_213(count: int) -> tuple[int, ...]:
     return tuple(f[1:])
 
 
-@dataclass(frozen=True)
-class Seq132State:
+class Seq132State(NamedTuple):
     """Joint solution of the 132-avoidance counting system.
 
     g[n] counts all 132-avoiding revised ascent sequences of length n,
@@ -166,8 +162,8 @@ def system_132(n_max: int) -> Seq132State:
 # Generating functions.  All four are algebraic; the two quadratic ones
 # share the discriminant t^4 + 2t^2 - 4t + 1.
 
-def _discriminant_root(order: int) -> PowerSeries:
-    t = PowerSeries.variable(order)
+def _discriminant_root(t):
+    # t is the series variable; the root has t's truncation order
     disc = t ** 4 + 2 * t ** 2 - 4 * t + 1
     return disc.sqrt()
 
@@ -190,13 +186,16 @@ def expand_gf(name: str, order: int) -> tuple[int, ...]:
         raise ValueError("order must be >= 1")
     if name == "fishburn":
         return fishburn(order)
+    from fractions import Fraction
+
+    from .series import PowerSeries
     t = PowerSeries.variable(order + 1)
     if name == "b123":
-        root = _discriminant_root(order + 1)
+        root = _discriminant_root(t)
         numerator = t ** 2 - 1 + root
         series = numerator / (2 * (t - 1))
     elif name == "b132":
-        root = _discriminant_root(order + 1)
+        root = _discriminant_root(t)
         numerator = t ** 2 - 2 * t + 1 - root
         series = numerator.shift_down(1) * Fraction(1, 2)
     else:  # b213

@@ -29,9 +29,8 @@ the naive oracle and the search it drives against the core.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .words import (
     DEFAULT_CAP,
@@ -296,16 +295,14 @@ def count_avoiders(n: int, pattern: Word, family: Family = Family.REVISED,
     return total[0]
 
 
-@dataclass(frozen=True)
-class WilfClass:
+class WilfClass(NamedTuple):
     """Patterns sharing one avoidance-count sequence."""
 
     patterns: tuple[Word, ...]
     counts: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class WilfReport:
+class WilfReport(NamedTuple):
     """Partition of all patterns of one length by count sequence.
 
     Counts run over n = 1 .. n_max, so equality of two classes is only

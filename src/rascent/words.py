@@ -15,9 +15,8 @@ Positions are 1-based everywhere.  Words are plain tuples of ints.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 Word = tuple[int, ...]
 
@@ -153,8 +152,7 @@ def _nub(w: Word) -> frozenset[int]:
     return frozenset(first.values())
 
 
-@dataclass(frozen=True)
-class StatSets:
+class StatSets(NamedTuple):
     """The four statistic sets of one word."""
 
     asctop: frozenset[int]

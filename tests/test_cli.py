@@ -112,6 +112,16 @@ def test_count_open_row(capsys):
                                                "the oracle column is omitted\n")
 
 
+def test_count_oracle_alone_needs_a_closed_form(capsys):
+    # with no other method there is nothing to print: a usage error
+    for pattern in ("1111", "1221", "111"):
+        assert run(capsys, "count", "--avoid", pattern, "--n-max", "3", "--method", "oracle") == (
+            2, "", f"rascent count: {pattern} has no closed form, so --method oracle has nothing to count\n")
+    code, out, err = run(capsys, "count", "--avoid", "1221", "--n-max", "3", "--method", "oracle,brute")
+    assert (code, out) == (0, "n=1  brute=1\nn=2  brute=1\nn=3  brute=2\n")
+    assert err == "rascent count: 1221 has no closed form; the oracle column is omitted\n"
+
+
 def test_count_jsonl_has_agreement_rows(capsys):
     code, out, _ = run(capsys, "count", "--n-max", "3", "--method", "brute,oracle",
                        "--format", "jsonl")
