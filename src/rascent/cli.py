@@ -18,6 +18,7 @@ output is a table.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 from typing import Iterable
@@ -309,6 +310,11 @@ def main(argv: Iterable[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(list(argv) if argv is not None else None)
     handler = _HANDLERS[args.command]
+    # Output goes out in blocks (by line to a terminal) even when Python
+    # runs unbuffered, by -u or PYTHONUNBUFFERED: a system call per line
+    # costs enumerate more than its search does.
+    if isinstance(sys.stdout, io.TextIOWrapper):
+        sys.stdout.reconfigure(write_through=False)
     try:
         try:
             code = handler(args, sys.stdout)

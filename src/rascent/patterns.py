@@ -244,8 +244,8 @@ def avoid_filter(pattern: Iterable[int]) -> AcceptFn:
     """The search veto for avoiding the pattern: an `accept` for
     `search_family` that refuses exactly the candidates completing an
     occurrence in a prefix that avoids it.  For patterns of length <= 3
-    it is a FrontierVeto, so the search tests one bit of the frontier
-    instead of calling it.
+    it is a FrontierVeto, so the search clears the frontier from its
+    candidates instead of calling it.
 
     >>> veto = avoid_filter((1, 2))
     >>> veto([2, 1], 1), veto([2, 1], 3)

@@ -98,8 +98,12 @@ def format_word(x: Iterable[int]) -> str:
     """
     w = check_word(x)
     if max(w) <= 9:
-        return "".join(str(v) for v in w)
-    return ",".join(str(v) for v in w)
+        return bytes(w).translate(_DIGITS).decode()
+    return ",".join(map(str, w))
+
+
+# entry v of a word with entries <= 9 is byte v, written as its digit
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 
 
 def ascent_tops(x: Iterable[int]) -> frozenset[int]:
@@ -263,18 +267,20 @@ def is_member(x: Iterable[int], family: Family) -> bool:
 # need is |M|+1 (inf for DESTOP once 1 is missing), and 0 when M is
 # empty.  A member can always grow by repeating its last entry, so
 # need <= rest is exactly "some member extends this prefix": every
-# node the search visits leads to a member.  Candidate values are
-# tried in increasing order, which makes the output lexicographic.
+# node the search visits leads to a member.  At each node the search
+# builds the bit set of the values that meet the rule and the bound,
+# and tries them in increasing order, which makes the output
+# lexicographic.
 #
 # The search state is the prefix, its maximum, the bit set of values
 # seen, whether the last entry was new, and a fifth field: forbid, the
 # bit set of values a pattern veto refuses as the next entry.  A
 # FrontierVeto (what patterns.avoid_filter builds for patterns of
 # length <= 3) carries forbid's initial value and its update step,
-# whose case table lives in patterns.frontier; the search then tests
-# one bit where it would call the veto.  Any other accept leaves forbid
-# at 0 and is called as before, and so is every veto in the ascent
-# search, which has no bit set of values seen.
+# whose case table lives in patterns.frontier; the search then clears
+# forbid from the candidates instead of calling the veto.  Any other
+# accept leaves forbid at 0 and is called as before, and so is every
+# veto in the ascent search, which has no bit set of values seen.
 
 AcceptFn = Callable[[list[int], int], bool]
 StepFn = Callable[[int, int, int], int]
@@ -314,73 +320,83 @@ _MODE = {
 }
 
 
+def _tops(maxv: int, j: int) -> int:
+    """The bit set of the new maxima maxv+1 .. maxv+j."""
+    return ((2 << j) - 2) << maxv if j > 0 else 0
+
+
 def _search_cayley(n: int, mode: int, leaf: Callable[[list[int]], None],
                    accept: Optional[AcceptFn], forbid: int, step: Optional[StepFn]) -> None:
     entries: list[int] = []
-    filtered = accept is not None or step is not None
 
     def rec(maxv: int, seen: int, fresh: bool, forbid: int) -> None:
         # seen has bit v set for every value v placed so far; fresh says
         # whether the last entry was new; forbid is the frontier, if
-        # any.  m is the bit set M after v; as v is not in M,
-        # m & (bit - 1) tests min M < v, m > bit tests max M > v, and
-        # m & 2 tests 1 in M.
+        # any.  The rule and the bound become bit sets of candidates:
+        # gaps is M after a repeat, k = |gaps|, and low and high are its
+        # least and greatest values.  Taking a value from gaps leaves
+        # k-1 missing, and a new maximum maxv+j leaves k+j-1.  MODIFIED
+        # and DESTOP start with 1, so 1 is never missing in them later.
         p = len(entries) + 1
         rest = n - p
-        last = entries[-1] if entries else 0
         gaps = ((2 << maxv) - 2) ^ seen
-        missing = gaps.bit_count()
-        # Any value above this leaves more unseen values below the
-        # maximum than there are open slots.
-        limit = maxv + rest - missing + 1
-        for v in range(1, limit + 1):
-            bit = 1 << v
-            isnew = not seen & bit
-            if not mode:
-                if missing > rest and not isnew:
-                    continue
+        k = gaps.bit_count()
+        low = gaps & -gaps
+        high = 1 << gaps.bit_length() >> 1
+        # Each line below names the need of every kind of candidate.
+        if not mode:
+            # a gap k-1, a repeat k, maxv+j k+j-1
+            cand = gaps | _tops(maxv, rest - k + 1) | (seen if k <= rest else 0)
+        elif p == 1:
+            # a first entry v leaves 1 .. v-1 missing, which MODIFIED and
+            # DESTOP refuse; DESBOT then needs v-1 more entries, REVISED v
+            cand = _tops(0, rest + 1 if mode == _IMMEDIATE_DESC
+                         else max(rest, 1) if mode == _DEFERRED_ASC else 1)
+        else:
+            # new and rep are the new values and the repeats that fit
+            if mode == _IMMEDIATE_ASC:
+                # gap low k-1, other gaps k; a repeat below low k, above
+                # it k+1; maxv+j k+j, and 0 for j = 1 when k = 0
+                new = low | (gaps ^ low if k <= rest else 0) | _tops(maxv, rest - k if k else max(rest, 1))
+                rep = (seen & (low - 1) if k <= rest else 0) | (seen & -(low << 1) if k < rest else 0)
+            elif mode == _IMMEDIATE_DESC:
+                # gap high k-1, other gaps k; a repeat above high k, below
+                # it k+1; a new maximum lies above last, which the rule
+                # refuses
+                new = high | (gaps ^ high if k <= rest else 0)
+                rep = (seen & -(high << 1) if k <= rest else 0) | (seen & (high - 1) if k < rest else 0)
+            elif mode == _DEFERRED_ASC:
+                # gap low k, other gaps k+1; a repeat above low k+1, below
+                # it inf; a new maximum inf
+                new = (low if k <= rest else 0) | (gaps ^ low if k < rest else 0)
+                rep = seen & -(low << 1) if k < rest else 0
             else:
-                if v > maxv:
-                    m = gaps | (bit - (2 << maxv))  # maxv+1 .. v-1 go missing
-                else:
-                    m = gaps ^ bit if isnew else gaps
-                if mode == _IMMEDIATE_ASC:
-                    if p > 1 and isnew != (last < v):
-                        continue
-                    if m and (m & 2 or m.bit_count() + (m & (bit - 1) > 0) > rest):
-                        continue
-                elif mode == _IMMEDIATE_DESC:
-                    if p > 1 and isnew != (last > v):
-                        continue
-                    if m and m.bit_count() + (m > bit) > rest:
-                        continue
-                elif mode == _DEFERRED_ASC:
-                    if p == 1:
-                        if m and m.bit_count() + 1 > rest:
-                            continue
-                    elif p > 2 and fresh != (last < v):
-                        continue
-                    elif isnew:
-                        if v > maxv or m.bit_count() + 1 + (m & (bit - 1) > 0) > rest:
-                            continue
-                    elif m and (not m & (bit - 1) or m.bit_count() + 1 > rest):
-                        continue
-                elif mode == _DEFERRED_DESC:
-                    if p == 1:
-                        if m:
-                            continue
-                    elif p > 2 and fresh != (last > v):
-                        continue
-                    elif isnew:
-                        if v == 1 or m & 2 or m.bit_count() + 1 + (m > bit) > rest:
-                            continue
-                    elif m and (m & 2 or m.bit_count() + 1 + (m < bit) > rest):
-                        continue
-            if filtered and (forbid >> v & 1 or accept is not None and not accept(entries, v)):
+                # gap high k, other gaps k+1; a repeat below high k+1,
+                # above it k+2; maxv+j k+j
+                new = (high if k <= rest else 0) | (gaps ^ high if k < rest else 0) | _tops(maxv, rest - k)
+                rep = (seen & (high - 1) if k < rest else 0) | (seen & -(high << 1) if k + 1 < rest else 0)
+            if not gaps:  # a repeat needs 0 in every family
+                rep = seen
+            # beyond holds the values v with last < v in the ascending
+            # modes and last > v otherwise
+            last = entries[-1]
+            beyond = -(2 << last) if mode in (_IMMEDIATE_ASC, _DEFERRED_ASC) else (1 << last) - 2
+            if mode in (_IMMEDIATE_ASC, _IMMEDIATE_DESC):
+                cand = new & beyond | rep & ~beyond
+            elif p > 2:
+                cand = (new | rep) & (beyond if fresh else ~beyond)
+            else:
+                cand = new | rep
+        cand &= ~forbid
+        while cand:
+            bit = cand & -cand
+            cand ^= bit
+            v = bit.bit_length() - 1
+            if accept is not None and not accept(entries, v):
                 continue
             entries.append(v)
             if rest:
-                rec(v if v > maxv else maxv, seen | bit, isnew,
+                rec(v if v > maxv else maxv, seen | bit, not seen & bit,
                     step(forbid, seen, v) if step else forbid)
             else:
                 leaf(entries)

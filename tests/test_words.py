@@ -91,6 +91,19 @@ def test_search_visits_no_dead_end(family, n_max):
         assert offered <= prefixes, sorted(offered - prefixes)[:5]
 
 
+@pytest.mark.parametrize("family", [f for f in Family if f is not Family.ASCENT])
+def test_search_offers_exactly_the_member_prefixes(family):
+    # each node's candidate set is exact both ways, against the naive
+    # filter: nothing that cannot be completed, and every value some
+    # member continues with, each offered once
+    for n in range(1, 7):
+        prefixes = {w[:k] for w in reference.brute_family(n, family.value) for k in range(1, n + 1)}
+        offered = []
+        search_family(n, family, lambda e: None,
+                      accept=lambda e, v: offered.append((*e, v)) or True)
+        assert sorted(offered) == sorted(prefixes)
+
+
 @pytest.mark.parametrize("family, shift", [
     (Family.DESTOP, 1), (Family.MODIFIED, 0), (Family.DESBOT, 0),
 ])
