@@ -31,6 +31,7 @@ from .words import (
     CapExceededError,
     DEFAULT_CAP,
     Family,
+    _format_word,
     count_family,
     format_word,
     parse_word,
@@ -40,10 +41,6 @@ from .words import (
 MAX_ORDER = 64
 
 _FAMILY_TOKENS = tuple(f.value for f in Family)
-
-
-def _family(token: str) -> Family:
-    return Family(token)
 
 
 def _pattern(text: str):
@@ -108,29 +105,29 @@ def _cap(args: argparse.Namespace) -> int:
 def _cmd_enumerate(args: argparse.Namespace, out) -> int:
     if args.n < 1:
         raise _Usage("--n must be positive")
-    n, family = args.n, _family(args.family)
+    n, family = args.n, Family(args.family)
     accept = None
-    if args.avoid:
+    if args.avoid is not None:  # an empty pattern is refused, not ignored
         from .patterns import avoid_filter
         accept = avoid_filter(_pattern(args.avoid))
     cap = _cap(args)
     if n > cap:  # before the csv header, so a refused run writes nothing
         raise CapExceededError(f"length {n} exceeds cap {cap}")
-    # each word is written from the search's leaf, so the first line
-    # goes out long before the search ends and no list is ever built
+    # each word is written unchecked from the search's leaf, so the first
+    # line goes out long before the search ends and no list is ever built
     if args.format == "jsonl":
         import json
 
         def leaf(entries: list[int]) -> None:
-            out.write(json.dumps({"n": n, "word": format_word(entries)}) + "\n")
+            out.write(json.dumps({"n": n, "word": _format_word(entries)}) + "\n")
     elif args.format == "csv":
         out.write("n,word\n")
 
         def leaf(entries: list[int]) -> None:
-            out.write(f"{n},{format_word(entries)}\n")
+            out.write(f"{n},{_format_word(entries)}\n")
     else:
         def leaf(entries: list[int]) -> None:
-            out.write(format_word(entries) + "\n")
+            out.write(_format_word(entries) + "\n")
     search_family(n, family, leaf, accept=accept, cap=cap)
     return 0
 
@@ -147,8 +144,8 @@ def _oracle(pattern):
 
 
 def _cmd_count(args: argparse.Namespace, out) -> int:
-    family = _family(args.family)
-    pattern = _pattern(args.avoid) if args.avoid else None
+    family = Family(args.family)
+    pattern = _pattern(args.avoid) if args.avoid is not None else None
     methods = tuple(m.strip() for m in args.method.split(",") if m.strip())
     if not methods or any(m not in ("brute", "tree", "oracle") for m in methods):
         raise _Usage(f"--method must name brute, tree or oracle, got {args.method!r}")
@@ -193,9 +190,7 @@ def _cmd_count(args: argparse.Namespace, out) -> int:
         if oracle is not None:
             rows.append((n, "oracle", oracle(n)))
 
-    agree: dict[int, bool] = {}
-    for n in range(1, args.n_max + 1):
-        agree[n] = len({c for rn, _, c in rows if rn == n}) <= 1
+    agree = {n: len({c for rn, _, c in rows if rn == n}) <= 1 for n in range(1, args.n_max + 1)}
 
     if args.format == "csv":
         out.write("n,method,count\n")
@@ -211,8 +206,7 @@ def _cmd_count(args: argparse.Namespace, out) -> int:
     else:
         for n in range(1, args.n_max + 1):
             parts = [f"{method}={count}" for rn, method, count in rows if rn == n]
-            ran = sum(1 for rn, _, _ in rows if rn == n)
-            suffix = "" if ran <= 1 else ("  ok" if agree[n] else "  MISMATCH")
+            suffix = "" if len(parts) <= 1 else ("  ok" if agree[n] else "  MISMATCH")
             out.write(f"n={n}  " + "  ".join(parts) + suffix + "\n")
 
     if args.dump_labels:
@@ -232,9 +226,7 @@ def _cmd_verify(args: argparse.Namespace, out) -> int:
     if args.format == "jsonl":
         import json
     checks = run_suite(args.suite, args.n_max)
-    failed = False
     for c in checks:
-        failed = failed or not c.passed
         if args.format == "jsonl":
             record = {"suite": c.suite, "property": c.name, "pass": c.passed,
                       "counterexample": c.counterexample}
@@ -245,7 +237,7 @@ def _cmd_verify(args: argparse.Namespace, out) -> int:
             if c.counterexample:
                 line += f"  counterexample: {c.counterexample}"
             out.write(line + "\n")
-    return 1 if failed else 0
+    return 0 if all(c.passed for c in checks) else 1
 
 
 def _cmd_gf(args: argparse.Namespace, out) -> int:

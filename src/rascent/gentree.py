@@ -128,10 +128,14 @@ def smallest_rise_top(x: Iterable[int]) -> int:
     3
     """
     w = _words.check_word(x)
-    if not _words.is_member(w, Family.REVISED):
+    if not _words._is_member(w, Family.REVISED):
         raise ValueError(f"not a revised ascent sequence: {w}")
-    if not _patterns.avoids(w, _PATTERN_123):
+    if _patterns.occurrence_test(_PATTERN_123)(w):
         raise ValueError(f"word contains the pattern 123: {w}")
+    return _smallest_rise_top(w)
+
+
+def _smallest_rise_top(w: Word) -> int:
     best = None
     lowest = w[0]
     for v in w[1:]:
@@ -144,10 +148,15 @@ def smallest_rise_top(x: Iterable[int]) -> int:
 
 def word_label(x: Iterable[int], rule: Rule) -> Label:
     """Label of a word under either rule."""
-    w = _words.check_word(x)
     if rule is Rule.FULL:
-        return (max(w), w[-1])
+        return _word_label(_words.check_word(x), rule)
+    w = tuple(x)  # smallest_rise_top validates it
     return (smallest_rise_top(w), w[-1])
+
+
+def _word_label(w: Word, rule: Rule) -> Label:
+    # word_label on a valid word, and for the 123 rule a 123-avoiding one
+    return (max(w) if rule is Rule.FULL else _smallest_rise_top(w), w[-1])
 
 
 def expand_level(rule: Rule, n: int, cap: int = DEFAULT_CAP) -> list[Word]:
@@ -169,7 +178,7 @@ def expand_level(rule: Rule, n: int, cap: int = DEFAULT_CAP) -> list[Word]:
         nxt: list[Word] = []
         for w in words:
             for v in range(1, max(w) + 2):
-                child = _maps.add_entry(w, v)
+                child = _maps._add_entry(w, v)
                 if rule is Rule.AVOID123 and has_123(child):
                     continue
                 nxt.append(child)

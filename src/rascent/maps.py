@@ -48,24 +48,27 @@ def revise(x: Iterable[int]) -> ReviseTrace:
     (1, 1)
     """
     w = _words.check_word(x)
-    if not _words.is_ascent_sequence(w):
+    if not _words._is_ascent(w):
         raise ValueError(f"not an ascent sequence: {w}")
-    bottoms = tuple(sorted(_words.ascent_bottoms(w)))
+    return _revise(w)
+
+
+def _revise(w: Word) -> ReviseTrace:
+    bottoms = tuple(sorted(_words._ascent_bottoms(w)))
     relabeled = relabel(w, bottoms)
-    revised = (max(relabeled),) + relabeled
-    return ReviseTrace(source=w, relabeled=relabeled, revised=revised, bottoms=bottoms)
+    return ReviseTrace(source=w, relabeled=relabeled, revised=(max(relabeled),) + relabeled, bottoms=bottoms)
 
 
-def relabel(x: Iterable[int], positions: Iterable[int]) -> Word:
+def relabel(w: Word, positions: Iterable[int]) -> Word:
     """The bumping pass of `revise`, driven by the given positions.
 
     For each position i in increasing order, every earlier entry that
-    is >= the current entry at i goes up by one.
+    is >= the current entry at i goes up by one.  w is not checked.
 
     >>> relabel((1, 2, 1, 3, 2, 1, 2, 4), (1, 3, 6, 7))
     (4, 5, 3, 5, 4, 1, 2, 4)
     """
-    work = list(_words.check_word(x))
+    work = list(w)
     for i in sorted(positions):
         vi = work[i - 1]
         for j in range(i - 1):
@@ -88,15 +91,18 @@ def unrevise(y: Iterable[int]) -> Word:
     w = _words.check_word(y)
     if len(w) < 2:
         raise ValueError("input must have length >= 2")
-    if not _words.is_member(w, Family.REVISED):
+    if not _words._is_member(w, Family.REVISED):
         raise ValueError(f"not a revised ascent sequence: {w}")
+    return _unrevise(w)
+
+
+def _unrevise(w: Word) -> Word:
     tail: list[int] = []
     while len(w) > 2:
         tail.append(w[-1])
         w = _peel(w)
     # the only revised ascent sequence of length 2 is 11
-    x = (1,) + tuple(reversed(tail))
-    return x
+    return (1,) + tuple(reversed(tail))
 
 
 def add_entry(x: Iterable[int], v: int) -> Word:
@@ -114,11 +120,14 @@ def add_entry(x: Iterable[int], v: int) -> Word:
     w = _words.check_word(x)
     if not 1 <= v <= max(w) + 1:
         raise ValueError(f"entry {v} out of range for {w}")
+    return _add_entry(w, v)
+
+
+def _add_entry(w: Word, v: int) -> Word:
     last = w[-1]
     if v <= last:
         return w + (v,)
-    bumped = tuple(e + 1 if e >= last else e for e in w[:-1])
-    return bumped + (last, v)
+    return (*[e + 1 if e >= last else e for e in w[:-1]], last, v)
 
 
 def remove_entry(y: Iterable[int]) -> Word:
@@ -139,9 +148,8 @@ def _peel(w: Word) -> Word:
     # remove_entry on a word already validated, of length >= 2
     if w[-1] <= w[-2]:
         return w[:-1]
-    pivot = w[-2]
-    lowered = tuple(e - 1 if e > pivot else e for e in w[:-2])
-    return lowered + (pivot,)
+    pivot = w[-2]  # the new last entry: only the entries above it come down
+    return tuple([e - 1 if e > pivot else e for e in w[:-1]])
 
 
 def complement(x: Iterable[int]) -> Word:
@@ -161,7 +169,7 @@ def complement(x: Iterable[int]) -> Word:
     """
     w = _words.check_word(x)
     m = max(w)
-    return tuple(m + 1 - v for v in w)
+    return tuple([m + 1 - v for v in w])
 
 
 def standardize(x: Iterable[int]) -> Word:
@@ -189,10 +197,9 @@ def shift_trim(x: Iterable[int]) -> Word:
     w = _words.check_word(x)
     if len(w) < 2:
         raise ValueError("input must have length >= 2")
-    if not _words.is_member(w, Family.REVISED):
+    if not _words._is_member(w, Family.REVISED):
         raise ValueError(f"not a revised ascent sequence: {w}")
-    if not _patterns.avoids(w, (2, 1, 1)):
+    if _patterns.occurrence_test((2, 1, 1))(w):
         raise ValueError(f"input contains the pattern 211: {w}")
-    top = max(w) + 1
-    shifted = tuple(1 if v + 1 == top else v + 1 for v in w)
-    return shifted[:-1]
+    top = max(w)
+    return tuple(1 if v == top else v + 1 for v in w[:-1])

@@ -39,9 +39,9 @@ from .words import (
     FrontierVeto,
     StepFn,
     Word,
+    _is_cayley,
     check_word,
     enumerate_family,
-    is_cayley,
     search_family,
 )
 
@@ -58,7 +58,7 @@ def check_pattern(p: Iterable[int]) -> Word:
     w = check_word(p)
     if len(w) > PATTERN_CAP:
         raise ValueError(f"pattern longer than {PATTERN_CAP}: {w}")
-    if not is_cayley(w):
+    if not _is_cayley(w):
         raise ValueError(f"pattern must be a Cayley permutation: {w}")
     return w
 

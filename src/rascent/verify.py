@@ -30,7 +30,7 @@ from .gentree import _RULE_CHILDREN, Rule
 from .oracle import OPEN_111_PREFIX, TABLE_ROWS
 from .series import PowerSeries
 from .words import DEFAULT_CAP, Family, Word
-from .words import _ascent_bottoms, _ascent_tops, _descent_bottoms, _descent_tops, _nub
+from .words import _ascent_bottoms, _ascent_tops, _descent_bottoms, _descent_tops, _format_word, _nub
 
 
 class Check(NamedTuple):
@@ -76,11 +76,11 @@ def _bijection_misses(image: list[Word], target: Sequence[Word]) -> Iterator[str
     seen: set[Word] = set()
     for w in image:
         if w in seen:
-            yield f"collision at {_words.format_word(w)}"
+            yield f"collision at {_format_word(w)}"
         seen.add(w)
     wanted = set(target)
     if seen != wanted:
-        yield _words.format_word(next(iter(seen ^ wanted)))
+        yield _format_word(next(iter(seen ^ wanted)))
 
 
 def suite_eta(n_max: int) -> list[Check]:
@@ -93,21 +93,21 @@ def suite_eta(n_max: int) -> list[Check]:
     revised = _words.enumerate_family(1, Family.REVISED)
     for n in range(1, n_max + 1):
         shorter = image
-        image = {x: _maps.revise(x).revised for x in _words.enumerate_family(n, Family.ASCENT)}
+        image = {x: _maps._revise(x).revised for x in _words.enumerate_family(n, Family.ASCENT)}
         if n >= 2:
-            s.note("one-step-recursion", (_words.format_word(x) for x, y in image.items()
-                                          if y != _maps.add_entry(shorter[x[:-1]], x[-1])))
-        s.note("max-counts-ascent-tops", (_words.format_word(x) for x, y in image.items()
-                                          if max(y) != len(_words.ascent_tops(x))))
+            s.note("one-step-recursion", (_format_word(x) for x, y in image.items()
+                                          if y != _maps._add_entry(shorter[x[:-1]], x[-1])))
+        s.note("max-counts-ascent-tops", (_format_word(x) for x, y in image.items()
+                                          if max(y) != len(_ascent_tops(x))))
         s.note("counts-match-fishburn", [f"n={n}"] if len(revised) != fib[n - 1] else [])
         revised = _words.enumerate_family(n + 1, Family.REVISED)
         s.note("bijection-onto-next-length", _bijection_misses(list(image.values()), revised))
         if n <= relabel_top:
             s.note("equals-relabel-of-padded-word",
-                   (_words.format_word(x) for x, y in image.items()
-                    if y != _maps.relabel((1,) + x, _words.ascent_bottoms((1,) + x))))
-        s.note("inverse-round-trip", (_words.format_word(x) for x, y in image.items()
-                                      if _maps.unrevise(y) != x))
+                   (_format_word(x) for x, y in image.items()
+                    if y != _maps.relabel((1,) + x, _ascent_bottoms((1,) + x))))
+        s.note("inverse-round-trip", (_format_word(x) for x, y in image.items()
+                                      if _maps._unrevise(y) != x))
     return [
         s.check("one-step-recursion", scope),
         s.check("max-counts-ascent-tops", scope),
@@ -123,18 +123,18 @@ def suite_eta(n_max: int) -> list[Check]:
 def _extension_misses(words: Sequence[Word], longer: set[Word]) -> Iterator[str]:
     for x in words:
         for v in range(1, max(x) + 2):
-            y = _maps.add_entry(x, v)
+            y = _maps._add_entry(x, v)
             if y not in longer:
-                yield f"{_words.format_word(x)}+{v}"
-            elif _maps.remove_entry(y) != x:
-                yield f"{_words.format_word(y)} peels wrong"
+                yield f"{_format_word(x)}+{v}"
+            elif _maps._peel(y) != x:
+                yield f"{_format_word(y)} peels wrong"
 
 
 def _peel_misses(words: Sequence[Word], shorter: set[Word]) -> Iterator[str]:
     for y in words:
-        x = _maps.remove_entry(y)
-        if x not in shorter or _maps.add_entry(x, y[-1]) != y:
-            yield _words.format_word(y)
+        x = _maps._peel(y)
+        if x not in shorter or _maps._add_entry(x, y[-1]) != y:
+            yield _format_word(y)
 
 
 def _complement_misses(n: int, revised: Sequence[Word]) -> Iterator[str]:
@@ -150,7 +150,7 @@ def _stat_misses(words: Iterable[Word]) -> Iterator[str]:
         c = _maps.complement(w)
         if (_ascent_tops(w) != _descent_bottoms(c) or _ascent_bottoms(w) != _descent_tops(c)
                 or _nub(w) != _nub(c)):
-            yield _words.format_word(w)
+            yield _format_word(w)
 
 
 def _sampled_cayley(lengths: Iterable[int], per_length: int) -> Iterator[Word]:
@@ -165,7 +165,7 @@ def _max_misses(words: Sequence[Word]) -> Iterator[str]:
         m = max(w)
         if (w[0] != m or (len(w) >= 2 and w.count(m) < 2)
                 or m != len(_ascent_bottoms(w)) or m != len(_ascent_tops(w))):
-            yield _words.format_word(w)
+            yield _format_word(w)
 
 
 def suite_addrom(n_max: int) -> list[Check]:
@@ -203,13 +203,13 @@ def suite_addrom(n_max: int) -> list[Check]:
 
 def _rule_misses(words: Sequence[Word], rule: Rule) -> Iterator[str]:
     has_123 = _patterns.occurrence_test((1, 2, 3))
-    label = _gentree.word_label
+    label = _gentree._word_label
     for x in words:
-        kids = [_maps.add_entry(x, v) for v in range(1, max(x) + 2)]
+        kids = [_maps._add_entry(x, v) for v in range(1, max(x) + 2)]
         if rule is Rule.AVOID123:
             kids = [y for y in kids if not has_123(y)]
         if Counter(label(y, rule) for y in kids) != Counter(_RULE_CHILDREN[rule](label(x, rule))):
-            yield _words.format_word(x)
+            yield _format_word(x)
 
 
 def _tree_series_misses(full: list[int], sub: list[int]) -> Iterator[str]:
@@ -246,7 +246,7 @@ def suite_gentree(n_max: int) -> list[Check]:
         s.check("level-totals-match-series", "level<=25", _tree_series_misses(full, sub)),
         s.check("materialized-labels-match-dp", f"n<={top}",
                 (f"{rule.value} at n={n}" for rule in (Rule.FULL, Rule.AVOID123) for n in range(2, top + 1)
-                 if Counter(_gentree.word_label(w, rule) for w in _gentree.expand_level(rule, n))
+                 if Counter(_gentree._word_label(w, rule) for w in _gentree.expand_level(rule, n))
                  != dp[rule][n - 2].counts)),
     ]
 
@@ -267,8 +267,8 @@ def suite_table1(n_max: int) -> list[Check]:
     """Closed-form counts against brute-force avoidance, row by row."""
     s = _Sweep("table1")
     checks = [
-        s.check("row-" + "-".join(_words.format_word(p) for p in group), f"n<={n_max}",
-                (f"{_words.format_word(pat)} at n={n}" for pat in group for n in range(1, n_max + 1)
+        s.check("row-" + "-".join(_format_word(p) for p in group), f"n<={n_max}",
+                (f"{_format_word(pat)} at n={n}" for pat in group for n in range(1, n_max + 1)
                  if _patterns.count_avoiders(n, pat, Family.REVISED, cap=DEFAULT_CAP)
                  != _oracle.closed_form(pat, n)))
         for group in TABLE_ROWS
@@ -301,7 +301,7 @@ def suite_phi(n_max: int) -> list[Check]:
     worked = _maps.shift_trim((6, 4, 6, 3, 6, 1, 2, 6, 5, 6))
     return [
         s.check("worked-example", "single word",
-                [_words.format_word(worked)] if worked != (1, 5, 1, 4, 1, 2, 3, 1, 6) else []),
+                [_format_word(worked)] if worked != (1, 5, 1, 4, 1, 2, 3, 1, 6) else []),
         s.check("bijection-onto-modified-family", f"n<={top}", _shift_trim_misses(top)),
     ]
 
@@ -364,9 +364,9 @@ _FORMS = ("221", "312", "321", "122", "211")
 
 def _form_misses(n: int, words: Sequence[Word], form: str) -> Iterator[str]:
     avoiders = set(_patterns.avoider_words(n, tuple(int(c) for c in form)))
-    shaped = {w for w in words if _patterns.matches_form(w, form)}
+    shaped = {w for w in words if _patterns._FORM_CHECKS[form](w)}
     if avoiders != shaped:
-        yield f"{_words.format_word(next(iter(avoiders ^ shaped)))} at n={n}"
+        yield f"{_format_word(next(iter(avoiders ^ shaped)))} at n={n}"
 
 
 def suite_forms(n_max: int) -> list[Check]:
@@ -398,13 +398,13 @@ def _monotone_misses(words: Sequence[Word], nests: list[tuple[Word, Word]],
                 if b not in avoided:
                     avoided[b] = not has[b](w)
                 if not avoided[b]:
-                    yield f"{_words.format_word(w)} vs {_words.format_word(a)}<{_words.format_word(b)}"
+                    yield f"{_format_word(w)} vs {_format_word(a)}<{_format_word(b)}"
 
 
 def _class_misses(classes: set[frozenset[Word]]) -> Iterator[str]:
     for pair in (((1, 2, 1), (2, 1, 1)), ((2, 3, 1), (3, 2, 1)), ((1, 2, 2), (3, 1, 2))):
         if frozenset(pair) not in classes:
-            yield "-".join(_words.format_word(p) for p in pair)
+            yield "-".join(_format_word(p) for p in pair)
 
 
 def suite_wilf(n_max: int) -> list[Check]:
@@ -421,7 +421,7 @@ def suite_wilf(n_max: int) -> list[Check]:
     for n in range(1, n_max + 1):
         avoiders = {p: _patterns.avoider_words(n, p) for p in sorted(swept)}
         for a, b in _SAME_AVOIDERS:
-            s.note(f"same-avoiders-{_words.format_word(a)}-{_words.format_word(b)}",
+            s.note(f"same-avoiders-{_format_word(a)}-{_format_word(b)}",
                    [f"n={n}"] if avoiders[a] != avoiders[b] else [])
         unequal.update(p for p in _MAX_LED if avoiders[p] != avoiders[(max(p),) + p])
         if n <= top:
@@ -432,10 +432,10 @@ def suite_wilf(n_max: int) -> list[Check]:
     top2, top3 = max(2, min(n_max, 6)), max(6, min(n_max, 8))
     pairs = tuple(cls.patterns for cls in _patterns.wilf_classes(2, top2).classes)
     return [
-        *(s.check(f"same-avoiders-{_words.format_word(a)}-{_words.format_word(b)}", scope)
+        *(s.check(f"same-avoiders-{_format_word(a)}-{_format_word(b)}", scope)
           for a, b in _SAME_AVOIDERS),
         s.check("prepending-the-maximum-is-neutral", scope,
-                (_words.format_word(p) for p in _MAX_LED if p in unequal)),
+                (_format_word(p) for p in _MAX_LED if p in unequal)),
         s.check("containment-monotone", f"n<={top}, patterns k<=4"),
         s.check("length-2-classes", f"n<={top2}",
                 [str(pairs)] if pairs != (((1, 1),), ((1, 2), (2, 1))) else []),

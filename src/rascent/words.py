@@ -59,8 +59,7 @@ def check_word(x: Iterable[int]) -> Word:
     if not w:
         raise ValueError("word must be nonempty")
     for v in w:
-        # every word the maps build comes through here, so a plain int
-        # takes the cheap test and only anything else the full one
+        # a plain int takes the cheap test, and only anything else the full one
         if type(v) is not int or v < 1:
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 raise ValueError(f"word entries must be integers >= 1, got {v!r}")
@@ -96,7 +95,11 @@ def format_word(x: Iterable[int]) -> str:
     >>> format_word((10, 1, 2))
     '10,1,2'
     """
-    w = check_word(x)
+    return _format_word(check_word(x))
+
+
+def _format_word(w: Iterable[int]) -> str:
+    # format_word on a valid word, as a tuple or the search's entry list
     if max(w) <= 9:
         return bytes(w).translate(_DIGITS).decode()
     return ",".join(map(str, w))
@@ -130,7 +133,9 @@ def descent_bottoms(x: Iterable[int]) -> frozenset[int]:
     return _descent_bottoms(check_word(x))
 
 
-# The four statistics and the nub of a word already validated by check_word.
+# The four statistics, the nub and the membership tests of a word already
+# validated by check_word.  A Cayley-based family is cut out by the
+# statistic (in _MARKS) whose set must equal the leftmost occurrences.
 
 def _ascent_tops(w: Word) -> frozenset[int]:
     return frozenset({1} | {i for i in range(2, len(w) + 1) if w[i - 2] < w[i - 1]})
@@ -156,6 +161,33 @@ def _nub(w: Word) -> frozenset[int]:
     return frozenset(first.values())
 
 
+def _is_cayley(w: Word) -> bool:
+    # entries are >= 1, so the values are {1..max} exactly when there are max of them
+    return len(set(w)) == max(w)
+
+
+def _is_ascent(w: Word) -> bool:
+    if w[0] != 1:
+        return False
+    atop = 1
+    for i in range(1, len(w)):
+        if w[i] > atop + 1:
+            return False
+        if w[i] > w[i - 1]:
+            atop += 1
+    return True
+
+
+_MARKS = {Family.CAYLEY: _nub, Family.MODIFIED: _ascent_tops, Family.REVISED: _ascent_bottoms,
+          Family.DESTOP: _descent_tops, Family.DESBOT: _descent_bottoms}
+
+
+def _is_member(w: Word, family: Family) -> bool:
+    if family is Family.ASCENT:
+        return _is_ascent(w)
+    return _is_cayley(w) and _MARKS[family](w) == _nub(w)
+
+
 class StatSets(NamedTuple):
     """The four statistic sets of one word."""
 
@@ -168,12 +200,7 @@ class StatSets(NamedTuple):
 def stat_sets(x: Iterable[int]) -> StatSets:
     """Compute all four statistic sets in one go."""
     w = check_word(x)
-    return StatSets(
-        asctop=_ascent_tops(w),
-        ascbot=_ascent_bottoms(w),
-        destop=_descent_tops(w),
-        desbot=_descent_bottoms(w),
-    )
+    return StatSets(_ascent_tops(w), _ascent_bottoms(w), _descent_tops(w), _descent_bottoms(w))
 
 
 def nub(x: Iterable[int]) -> frozenset[int]:
@@ -193,9 +220,7 @@ def is_cayley(x: Iterable[int]) -> bool:
     >>> is_cayley((2, 1, 2))
     True
     """
-    w = check_word(x)
-    values = set(w)
-    return values == set(range(1, max(values) + 1))
+    return _is_cayley(check_word(x))
 
 
 def is_ascent_sequence(x: Iterable[int]) -> bool:
@@ -206,37 +231,14 @@ def is_ascent_sequence(x: Iterable[int]) -> bool:
     >>> is_ascent_sequence((1, 1, 2, 1, 4, 2))
     False
     """
-    w = check_word(x)
-    if w[0] != 1:
-        return False
-    atop = 1
-    for i in range(1, len(w)):
-        if w[i] > atop + 1:
-            return False
-        if w[i] > w[i - 1]:
-            atop += 1
-    return True
+    return _is_ascent(check_word(x))
 
 
 def is_member(x: Iterable[int], family: Family) -> bool:
     """Membership test for any of the six families."""
-    w = check_word(x)
-    if family is Family.ASCENT:
-        return is_ascent_sequence(w)
-    if not is_cayley(w):
-        return False
-    if family is Family.CAYLEY:
-        return True
-    marks = nub(w)
-    if family is Family.MODIFIED:
-        return ascent_tops(w) == marks
-    if family is Family.REVISED:
-        return ascent_bottoms(w) == marks
-    if family is Family.DESTOP:
-        return descent_tops(w) == marks
-    if family is Family.DESBOT:
-        return descent_bottoms(w) == marks
-    raise ValueError(f"unknown family {family!r}")
+    if not isinstance(family, Family):
+        raise ValueError(f"unknown family {family!r}")
+    return _is_member(check_word(x), family)
 
 
 # Membership of every family is decided by a local rule: a leftmost

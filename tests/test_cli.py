@@ -167,6 +167,15 @@ def test_count_usage_errors(capsys):
         assert err.startswith(f"rascent {argv[0]}: ") and "invalid literal" not in err
 
 
+@pytest.mark.parametrize("argv", [("enumerate", "--n", "3"), ("enumerate", "--n", "3", "--format", "csv"),
+                                  ("count", "--n-max", "3")])
+def test_empty_avoid_is_a_usage_error(capsys, argv):
+    # an empty pattern is refused like " ", never read as "no filter"
+    code, out, err = run(capsys, *argv, "--avoid", "")
+    assert (code, out) == (2, "")
+    assert err == f"rascent {argv[0]}: --avoid: empty word\n"
+
+
 def test_count_cap_violation(capsys):
     code, _, err = run(capsys, "count", "--n-max", "15", "--method", "brute")
     assert code == 1

@@ -5,6 +5,7 @@ import pytest
 import rascent.maps as maps
 import rascent.patterns as patterns
 import rascent.verify as verify
+import rascent.words as words
 from rascent.patterns import count_avoiders
 from rascent.verify import SUITE_NAMES, run_suite
 
@@ -79,3 +80,42 @@ def test_monotonicity_check_still_fails_on_a_wrong_pattern_test(monkeypatch):
     monkeypatch.setattr(patterns, "occurrence_test", wrong)
     check = _verdict("wilf", "containment-monotone", 4)
     assert not check.passed and check.counterexample
+
+
+# The eta and addrom sweeps run the trusted cores of the maps on the
+# words they enumerate; a wrong core must still fail its checks.
+_WRONG_CORES = {
+    "_unrevise": lambda w: (1,) * (len(w) - 1),  # forgets every entry
+    "_add_entry": lambda w, v: w + (v,),  # never bumps
+    "_peel": lambda w: w[:-1],  # never lowers
+}
+
+
+@pytest.mark.parametrize("core, suite, name", [
+    ("_unrevise", "eta", "inverse-round-trip"),
+    ("_add_entry", "eta", "one-step-recursion"),
+    ("_add_entry", "addrom", "extension-stays-in-family"),
+    ("_add_entry", "addrom", "every-word-is-an-extension"),
+    ("_peel", "eta", "inverse-round-trip"),
+    ("_peel", "addrom", "extension-stays-in-family"),
+    ("_peel", "addrom", "every-word-is-an-extension"),
+])
+def test_map_checks_still_fail_on_a_wrong_core(monkeypatch, core, suite, name):
+    monkeypatch.setattr(maps, core, _WRONG_CORES[core])
+    check = _verdict(suite, name, 4)
+    assert not check.passed and check.counterexample
+
+
+def test_eta_sweep_validates_no_word(monkeypatch):
+    # every word the sweep handles is one it enumerated or a map built
+    calls = []
+    real = words.check_word
+
+    def counted(x):
+        calls.append(x)
+        return real(x)
+
+    monkeypatch.setattr(words, "check_word", counted)
+    monkeypatch.setattr(patterns, "check_word", counted)
+    assert all(c.passed for c in run_suite("eta", 6))
+    assert calls == []

@@ -5,6 +5,8 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+import rascent
+from rascent.gentree import Rule
 from rascent.words import (
     CapExceededError,
     Family,
@@ -155,6 +157,25 @@ def test_check_word_rejections():
     for bad in [(), (0,), (1, -2), (1, True)]:
         with pytest.raises(ValueError):
             check_word(bad)
+
+
+# Every exported function that takes a word, with the arguments it takes
+# after the word.  Each checks the word at its boundary before it runs a
+# core that trusts it.
+_WORD_TAKERS = [
+    ("revise", ()), ("unrevise", ()), ("add_entry", (1,)), ("remove_entry", ()), ("shift_trim", ()),
+    ("complement", ()), ("standardize", ()), ("is_member", (Family.REVISED,)), ("is_cayley", ()),
+    ("is_ascent_sequence", ()), ("word_label", (Rule.FULL,)), ("word_label", (Rule.AVOID123,)),
+    ("smallest_rise_top", ()), ("format_word", ()),
+]
+
+
+@pytest.mark.parametrize("bad", [(), (0,), (1, True)], ids=repr)
+@pytest.mark.parametrize("name, rest", _WORD_TAKERS,
+                         ids=[name + "".join(f"-{getattr(a, 'value', a)}" for a in rest) for name, rest in _WORD_TAKERS])
+def test_every_word_taking_function_rejects_a_bad_word(name, rest, bad):
+    with pytest.raises(ValueError, match="word must be nonempty|word entries must be integers"):
+        getattr(rascent, name)(bad, *rest)
 
 
 def test_serialization_examples():
