@@ -135,7 +135,8 @@ def descent_bottoms(x: Iterable[int]) -> frozenset[int]:
 
 # The four statistics, the nub and the membership tests of a word already
 # validated by check_word.  A Cayley-based family is cut out by the
-# statistic (in _MARKS) whose set must equal the leftmost occurrences.
+# statistic in _MARKS whose set must equal the leftmost occurrences (for
+# CAYLEY, the nub itself).
 
 def _ascent_tops(w: Word) -> frozenset[int]:
     return frozenset({1} | {i for i in range(2, len(w) + 1) if w[i - 2] < w[i - 1]})
