@@ -201,5 +201,9 @@ def shift_trim(x: Iterable[int]) -> Word:
         raise ValueError(f"not a revised ascent sequence: {w}")
     if _patterns.occurrence_test((2, 1, 1))(w):
         raise ValueError(f"input contains the pattern 211: {w}")
+    return _shift_trim(w)
+
+
+def _shift_trim(w: Word) -> Word:
     top = max(w)
     return tuple(1 if v == top else v + 1 for v in w[:-1])

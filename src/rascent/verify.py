@@ -288,7 +288,7 @@ def suite_table1(n_max: int) -> list[Check]:
 def _shift_trim_misses(top: int) -> Iterator[str]:
     has_122 = _patterns.occurrence_test((1, 2, 2))
     for n in range(1, top + 1):
-        image = [_maps.shift_trim(w) for w in _patterns.avoider_words(n + 1, (2, 1, 1))]
+        image = [_maps._shift_trim(w) for w in _patterns.avoider_words(n + 1, (2, 1, 1))]
         target = [w for w in _words.enumerate_family(n, Family.MODIFIED) if not has_122(w)]
         if len(set(image)) != len(image) or sorted(image) != sorted(target):
             yield f"n={n}"
@@ -359,9 +359,6 @@ def suite_series(n_max: int) -> list[Check]:
 
 # -------------------------------------------------------------- forms
 
-_FORMS = ("221", "312", "321", "122", "211")
-
-
 def _form_misses(n: int, words: Sequence[Word], form: str) -> Iterator[str]:
     avoiders = set(_patterns.avoider_words(n, tuple(int(c) for c in form)))
     shaped = {w for w in words if _patterns._FORM_CHECKS[form](w)}
@@ -374,9 +371,9 @@ def suite_forms(n_max: int) -> list[Check]:
     s = _Sweep("forms")
     for n in range(2, n_max + 1):
         words = _words.enumerate_family(n, Family.REVISED)
-        for form in _FORMS:
+        for form in _patterns._FORM_CHECKS:
             s.note(f"form-{form}-characterizes-avoiders", _form_misses(n, words, form))
-    return [s.check(f"form-{form}-characterizes-avoiders", f"n<={n_max}") for form in _FORMS]
+    return [s.check(f"form-{form}-characterizes-avoiders", f"n<={n_max}") for form in _patterns._FORM_CHECKS]
 
 
 # --------------------------------------------------------------- wilf

@@ -99,14 +99,20 @@ def format_word(x: Iterable[int]) -> str:
 
 
 def _format_word(w: Iterable[int]) -> str:
-    # format_word on a valid word, as a tuple or the search's entry list
-    if max(w) <= 9:
-        return bytes(w).translate(_DIGITS).decode()
+    # format_word on a valid word, as a tuple or the search's entry list;
+    # this runs once per word enumerate writes, so no max() over w
+    try:
+        text = bytes(w).translate(_DIGITS)
+    except ValueError:  # an entry above 255
+        text = b","
+    if text.isdigit():
+        return text.decode()
     return ",".join(map(str, w))
 
 
-# entry v of a word with entries <= 9 is byte v, written as its digit
-_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+# entry v of a word is byte v, written as its digit when v <= 9 and as a
+# comma, which no digit string holds, when v >= 10
+_DIGITS = bytes.maketrans(bytes(range(256)), b"0123456789" + b"," * 246)
 
 
 def ascent_tops(x: Iterable[int]) -> frozenset[int]:
@@ -246,14 +252,16 @@ def is_member(x: Iterable[int], family: Family) -> bool:
 # occurrence must sit after a smaller entry (MODIFIED) or a larger one
 # (DESBOT), or before a larger entry (REVISED) or a smaller one
 # (DESTOP), and in the last two families the final entry must repeat an
-# earlier value.  Generation is a backtracking search that applies the
-# rule one step at a time and, on top of it, an exact completion bound:
-# a candidate v is tried only if need, the fewest further entries that
-# can complete a member after it, fits in the open slots.  need depends
-# on the family, on v, on whether v is new, and on M, the set of values
-# missing below the new maximum:
+# earlier value; an ASCENT entry is at most one more than atop, the
+# number of ascent tops before it.  Generation is a backtracking search
+# that applies the rule one step at a time and, on top of it, an exact
+# completion bound: a candidate v is tried only if need, the fewest
+# further entries that can complete a member after it, fits in the open
+# slots.  need depends on the family, on v, on whether v is new, and on
+# M, the set of values missing below the new maximum:
 #
 #   family            M empty           M not empty
+#   ASCENT            0 for every v <= atop+1 (M plays no part)
 #   CAYLEY            0                 |M|
 #   MODIFIED          0                 |M| if min M > v; inf if 1 in M;
 #                                       else |M|+1
@@ -275,15 +283,14 @@ def is_member(x: Iterable[int], family: Family) -> bool:
 # and tries them in increasing order, which makes the output
 # lexicographic.
 #
-# The search state is the prefix, its maximum, the bit set of values
-# seen, whether the last entry was new, and a fifth field: forbid, the
-# bit set of values a pattern veto refuses as the next entry.  A
-# FrontierVeto (what patterns.avoid_filter builds for patterns of
-# length <= 3) carries forbid's initial value and its update step,
-# whose case table lives in patterns.frontier; the search then clears
-# forbid from the candidates instead of calling the veto.  Any other
-# accept leaves forbid at 0 and is called as before, and so is every
-# veto in the ascent search, which has no bit set of values seen.
+# The search state is the prefix, its maximum (in ASCENT, its atop
+# instead), the bit set of values seen, whether the last entry was new,
+# and a fifth field: forbid, the bit set of values a pattern veto
+# refuses as the next entry.  A FrontierVeto (what patterns.avoid_filter
+# builds for patterns of length <= 3) carries forbid's initial value and
+# its update step, whose case table lives in patterns.frontier; the
+# search then clears forbid from the candidates instead of calling the
+# veto.  Any other accept leaves forbid at 0 and is called as before.
 
 AcceptFn = Callable[[list[int], int], bool]
 StepFn = Callable[[int, int, int], int]
@@ -296,8 +303,8 @@ class FrontierVeto:
     veto it wraps.  The frontier is the bit set of values no next entry
     may take: init for the empty prefix, and step(forbid, seen, v) for
     the set after v is appended to a prefix whose values are the bit
-    set seen.  The search over the Cayley-based families threads the
-    set through its state instead of calling the veto.
+    set seen.  The search threads the set through its state instead of
+    calling the veto.
     """
 
     __slots__ = ("veto", "init", "step")
@@ -313,8 +320,10 @@ _IMMEDIATE_ASC = 1  # MODIFIED: new value iff previous entry smaller
 _IMMEDIATE_DESC = 2  # DESBOT: new value iff previous entry bigger
 _DEFERRED_ASC = 3  # REVISED: position p-1 new iff x_{p-1} < x_p
 _DEFERRED_DESC = 4  # DESTOP: position p-1 new iff x_{p-1} > x_p
+_ATOP = 5  # ASCENT: at most one more than the ascent tops so far
 
 _MODE = {
+    Family.ASCENT: _ATOP,
     Family.CAYLEY: 0,
     Family.MODIFIED: _IMMEDIATE_ASC,
     Family.DESBOT: _IMMEDIATE_DESC,
@@ -328,8 +337,32 @@ def _tops(maxv: int, j: int) -> int:
     return ((2 << j) - 2) << maxv if j > 0 else 0
 
 
-def _search_cayley(n: int, mode: int, leaf: Callable[[list[int]], None],
-                   accept: Optional[AcceptFn], forbid: int, step: Optional[StepFn]) -> None:
+def search_family(n: int, family: Family, leaf: Callable[[list[int]], None],
+                  accept: Optional[AcceptFn] = None,
+                  cap: int = DEFAULT_CAP) -> None:
+    """Drive a backtracking search over one family.
+
+    leaf receives the scratch entry list each time a full member is
+    reached; it must copy if it wants to keep the word.  accept, when
+    given, is consulted with (prefix, candidate) before every extension
+    and may veto it; vetoing must be monotone for the search to stay
+    exhaustive over the accepted set.  accept only sees candidates
+    that some member of length n extends: the family rule and the
+    exact completion bound (see above) are applied first.  A
+    FrontierVeto is not called: the search tests its frontier instead,
+    which refuses exactly what the veto refuses.
+    """
+    mode = _MODE.get(family)
+    if mode is None:
+        raise ValueError(f"unknown family {family!r}")
+    if n < 1:
+        raise ValueError("length must be >= 1")
+    if n > cap:
+        raise CapExceededError(f"length {n} exceeds cap {cap}")
+    step: Optional[StepFn] = None
+    forbid = 0
+    if isinstance(accept, FrontierVeto):
+        accept, forbid, step = None, accept.init, accept.step
     entries: list[int] = []
 
     def rec(maxv: int, seen: int, fresh: bool, forbid: int) -> None:
@@ -347,7 +380,13 @@ def _search_cayley(n: int, mode: int, leaf: Callable[[list[int]], None],
         low = gaps & -gaps
         high = 1 << gaps.bit_length() >> 1
         # Each line below names the need of every kind of candidate.
-        if not mode:
+        if mode == _ATOP:
+            # maxv is atop: 1 .. atop+1 all 0, as a repeat of the last
+            # entry always fits; the empty prefix's last is 0, so the
+            # first entry is an ascent top
+            cand = (4 << maxv) - 2
+            last = entries[-1] if entries else 0
+        elif not mode:
             # a gap k-1, a repeat k, maxv+j k+j-1
             cand = gaps | _tops(maxv, rest - k + 1) | (seen if k <= rest else 0)
         elif p == 1:
@@ -399,72 +438,13 @@ def _search_cayley(n: int, mode: int, leaf: Callable[[list[int]], None],
                 continue
             entries.append(v)
             if rest:
-                rec(v if v > maxv else maxv, seen | bit, not seen & bit,
-                    step(forbid, seen, v) if step else forbid)
+                rec(maxv + (v > last) if mode == _ATOP else v if v > maxv else maxv,
+                    seen | bit, not seen & bit, step(forbid, seen, v) if step else forbid)
             else:
                 leaf(entries)
             entries.pop()
 
     rec(0, 0, False, forbid)
-
-
-def _search_ascent(n: int, leaf: Callable[[list[int]], None],
-                   accept: Optional[AcceptFn]) -> None:
-    entries: list[int] = []
-
-    def rec(atop: int) -> None:
-        p = len(entries) + 1
-        last = entries[-1]
-        for v in range(1, atop + 2):
-            if accept is not None and not accept(entries, v):
-                continue
-            if p == n:
-                entries.append(v)
-                leaf(entries)
-                entries.pop()
-            else:
-                entries.append(v)
-                rec(atop + 1 if v > last else atop)
-                entries.pop()
-
-    if accept is not None and not accept(entries, 1):
-        return
-    if n == 1:
-        leaf([1])
-        return
-    entries.append(1)
-    rec(1)
-
-
-def search_family(n: int, family: Family, leaf: Callable[[list[int]], None],
-                  accept: Optional[AcceptFn] = None,
-                  cap: int = DEFAULT_CAP) -> None:
-    """Drive a backtracking search over one family.
-
-    leaf receives the scratch entry list each time a full member is
-    reached; it must copy if it wants to keep the word.  accept, when
-    given, is consulted with (prefix, candidate) before every extension
-    and may veto it; vetoing must be monotone for the search to stay
-    exhaustive over the accepted set.  accept only sees candidates
-    that some member of length n extends: the family rule and the
-    exact completion bound (see above) are applied first.  Except in
-    the ascent family a FrontierVeto is not called: the search tests
-    its frontier instead, which refuses exactly what the veto refuses.
-    """
-    if n < 1:
-        raise ValueError("length must be >= 1")
-    if n > cap:
-        raise CapExceededError(f"length {n} exceeds cap {cap}")
-    if family is Family.ASCENT:
-        # this search keeps no bit set of the values seen, which the
-        # frontier's step needs, so it calls the veto
-        if isinstance(accept, FrontierVeto):
-            accept = accept.veto
-        _search_ascent(n, leaf, accept)
-    elif isinstance(accept, FrontierVeto):
-        _search_cayley(n, _MODE[family], leaf, None, accept.init, accept.step)
-    else:
-        _search_cayley(n, _MODE[family], leaf, accept, 0, None)
 
 
 def enumerate_family(n: int, family: Family, cap: int = DEFAULT_CAP) -> list[Word]:

@@ -21,7 +21,7 @@ from rascent.patterns import (
     occurrence_test,
     wilf_classes,
 )
-from rascent.words import Family, enumerate_family, family_members, search_family
+from rascent.words import Family, FrontierVeto, enumerate_family, family_members, search_family
 from rascent.maps import standardize
 
 import reference
@@ -111,6 +111,23 @@ def test_avoider_sets_match_filtered_enumeration():
         got: list = []
         search_family(n, family, lambda e: got.append(tuple(e)), accept=lambda e, v: veto(e, v))
         assert got == want
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_search_never_calls_a_frontier_veto(family):
+    # every family threads the frontier through its state, and finds
+    # the same words as a search that calls the veto
+    calls = []
+    for pattern in SHORT_PATTERNS:
+        veto = avoid_filter(pattern)
+        counted = FrontierVeto(lambda e, v, veto=veto: calls.append(v) or veto(e, v), veto.init, veto.step)
+        for n in range(1, 7):
+            got: list = []
+            want: list = []
+            search_family(n, family, lambda e: got.append(tuple(e)), accept=counted)
+            search_family(n, family, lambda e: want.append(tuple(e)), accept=lambda e, v: veto(e, v))
+            assert got == want, (pattern, n)
+    assert calls == []
 
 
 def test_avoider_count_spot_values():

@@ -88,6 +88,7 @@ _WRONG_CORES = {
     "_unrevise": lambda w: (1,) * (len(w) - 1),  # forgets every entry
     "_add_entry": lambda w, v: w + (v,),  # never bumps
     "_peel": lambda w: w[:-1],  # never lowers
+    "_shift_trim": lambda w: w[:-1],  # never shifts
 }
 
 
@@ -99,6 +100,7 @@ _WRONG_CORES = {
     ("_peel", "eta", "inverse-round-trip"),
     ("_peel", "addrom", "extension-stays-in-family"),
     ("_peel", "addrom", "every-word-is-an-extension"),
+    ("_shift_trim", "phi", "bijection-onto-modified-family"),
 ])
 def test_map_checks_still_fail_on_a_wrong_core(monkeypatch, core, suite, name):
     monkeypatch.setattr(maps, core, _WRONG_CORES[core])

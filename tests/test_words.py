@@ -79,7 +79,7 @@ def test_enumeration_matches_naive_filter(family, n):
 
 
 @pytest.mark.parametrize("family, n_max", [
-    (Family.CAYLEY, 6), (Family.MODIFIED, 9), (Family.DESBOT, 9),
+    (Family.ASCENT, 9), (Family.CAYLEY, 6), (Family.MODIFIED, 9), (Family.DESBOT, 9),
     (Family.REVISED, 9), (Family.DESTOP, 9),
 ])
 def test_search_visits_no_dead_end(family, n_max):
@@ -93,7 +93,7 @@ def test_search_visits_no_dead_end(family, n_max):
         assert offered <= prefixes, sorted(offered - prefixes)[:5]
 
 
-@pytest.mark.parametrize("family", [f for f in Family if f is not Family.ASCENT])
+@pytest.mark.parametrize("family", list(Family))
 def test_search_offers_exactly_the_member_prefixes(family):
     # each node's candidate set is exact both ways, against the naive
     # filter: nothing that cannot be completed, and every value some
@@ -153,6 +153,26 @@ def test_enumeration_cap():
     assert count_family(3, Family.REVISED, cap=3) == 2
 
 
+# Every public function that takes a family, called with the family f.
+_FAMILY_TAKERS = {
+    "search_family": lambda f: search_family(3, f, lambda e: None),
+    "enumerate_family": lambda f: rascent.enumerate_family(3, f),
+    "count_family": lambda f: rascent.count_family(3, f),
+    "family_members": lambda f: rascent.family_members(3, f),
+    "is_member": lambda f: rascent.is_member((1,), f),
+    "avoider_words": lambda f: rascent.avoider_words(5, (1, 1, 1), f),
+    "count_avoiders": lambda f: rascent.count_avoiders(5, (1, 1, 1), f),
+    "wilf_classes": lambda f: rascent.wilf_classes(2, 3, family=f),
+}
+
+
+@pytest.mark.parametrize("name", list(_FAMILY_TAKERS))
+def test_unknown_family_is_a_value_error(name):
+    # a family's value string is not a Family
+    with pytest.raises(ValueError, match="unknown family 'rasc'"):
+        _FAMILY_TAKERS[name]("rasc")
+
+
 def test_check_word_rejections():
     for bad in [(), (0,), (1, -2), (1, True)]:
         with pytest.raises(ValueError):
@@ -181,6 +201,9 @@ def test_every_word_taking_function_rejects_a_bad_word(name, rest, bad):
 def test_serialization_examples():
     assert format_word((1, 3, 5, 1, 4, 4, 3, 1, 2)) == "135144312"
     assert format_word((10, 1, 2)) == "10,1,2"
+    # entry 48 is the byte of "0", and 300 is no byte at all
+    assert format_word((48, 1)) == "48,1"
+    assert format_word((300, 1)) == "300,1"
     assert parse_word("10,1,2") == (10, 1, 2)
     assert parse_word("212") == (2, 1, 2)
     for text in ("\u00b2", "1,\u00b2"):
