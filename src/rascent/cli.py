@@ -173,9 +173,9 @@ def _cmd_count(args: argparse.Namespace, out) -> int:
     if pattern is not None:  # _pattern has loaded patterns already
         from .patterns import count_avoiders
     if "tree" in methods:
-        from .gentree import Rule, label_counts, level_totals
+        from .gentree import Rule, label_counts
         rule = Rule.FULL if pattern is None else Rule.AVOID123
-        totals = level_totals(rule, args.n_max - 1) if args.n_max >= 2 else ()
+        levels = label_counts(rule, max(args.n_max - 1, 1))  # the totals and --dump-labels
 
     rows: list[tuple[int, str, int]] = []
     for n in range(1, args.n_max + 1):
@@ -186,7 +186,7 @@ def _cmd_count(args: argparse.Namespace, out) -> int:
                 rows.append((n, "brute", count_avoiders(n, pattern, family, cap=cap)))
         if "tree" in methods:
             # trees start at length 2; the sole length-1 word sits above the root
-            rows.append((n, "tree", 1 if n == 1 else totals[n - 2]))
+            rows.append((n, "tree", 1 if n == 1 else levels[n - 2].total))
         if oracle is not None:
             rows.append((n, "oracle", oracle(n)))
 
@@ -210,7 +210,7 @@ def _cmd_count(args: argparse.Namespace, out) -> int:
             out.write(f"n={n}  " + "  ".join(parts) + suffix + "\n")
 
     if args.dump_labels:
-        for lc in label_counts(rule, max(args.n_max - 1, 1)):
+        for lc in levels:
             terms = " ".join(f"{a},{b}:{c}" for (a, b), c in sorted(lc.counts.items()))
             out.write(f"level {lc.level}: {terms}\n")
 

@@ -77,7 +77,7 @@ def bell_numbers(count: int) -> tuple[int, ...]:
             nxt.append(nxt[-1] + v)
         row = nxt
         out.append(row[0])
-    return tuple(out[:count])
+    return tuple(out)
 
 
 def stirling2(n: int, k: int) -> int:
@@ -112,9 +112,6 @@ def recurrence_213(count: int) -> tuple[int, ...]:
         raise ValueError("count must be >= 1")
     f = [0, 1]  # 1-based, f[1] = 1
     for n in range(2, count + 1):
-        if n == 2:
-            f.append(1)
-            continue
         acc = 1
         for k in range(1, n - 1):
             acc += f[k] * sum(f[2: n - k + 1])

@@ -21,8 +21,8 @@ complete.  Two factories compile a pattern once for many words:
 That core stays the one reference, and the search veto for patterns of
 length 4 to 6.  For length <= 3 the search instead keeps the pattern's
 `frontier`: the bit set of values that would complete an occurrence,
-updated by one step per entry from the values seen and the entry
-itself, so the veto is one bit test.  Tests check the frontier against
+so the veto is one bit test.  One rule, read off the pattern's three
+comparisons, updates it per entry.  Tests check the frontier against
 the naive oracle and the search it drives against the core.
 """
 
@@ -164,60 +164,40 @@ def avoids(x: Iterable[int], pattern: Iterable[int]) -> bool:
 
 
 # The frontier of a pattern p of length <= 3 after a prefix is the bit
-# set of the values v that would complete an occurrence of p ending at
-# v.  Appending u adds every v for which some earlier value a makes
-# (a, u, v) an occurrence; with S the bit set of values before u, and
-# low and high the values of S below and above u, each step below adds
-# those v.  Length 1 forbids every value from the start and length 2
-# uses u alone.  Above u is the negative int ~((2 << u) - 1), so no
-# mask needs an upper bound.
+# set of the values v that would complete an occurrence ending at v.
+# Appending u adds each v for which some earlier a makes (a, u, v) an
+# occurrence.  Let A be the values seen before u that stand to u as p1
+# to p2.  If A is empty the step adds nothing; if p3 = p1 it adds A;
+# otherwise it adds the values that stand to u as p3 to p2 and lie
+# above min A (p3 > p1) or below max A (p3 < p1), a bound that only
+# cuts when p3 and p1 lie on the same side of p2.  Length 2 adds the
+# values that stand to u as p2 to p1; length 1 forbids every value.
+# Each kind of step is one closure, so that no step calls a helper.
 
-def _above(u: int) -> int:
-    return ~((2 << u) - 1)
-
-
-def _step_132(forbid: int, seen: int, u: int) -> int:
-    low = seen & (1 << u) - 1  # (min low, u)
-    return forbid | (1 << u) - ((low & -low) << 1) if low else forbid
+def _relation(x: int, y: int) -> tuple[int, int]:
+    # (c, d) with (c << u) + d the values that stand to u as x to y
+    return (1, 0) if x == y else (-2, 0) if x > y else (1, -2)
 
 
-def _step_231(forbid: int, seen: int, u: int) -> int:
-    low = seen & (1 << u) - 1  # below max low
-    return forbid | (1 << low.bit_length() - 1) - 2 if low else forbid
-
-
-def _step_213(forbid: int, seen: int, u: int) -> int:
-    high = seen & _above(u)  # above min high
-    return forbid | _above((high & -high).bit_length() - 1) if high else forbid
-
-
-def _step_312(forbid: int, seen: int, u: int) -> int:
-    # (u, max S), empty unless some value above u was seen
-    return forbid | (1 << seen.bit_length() - 1) - (2 << u) if seen >> u + 1 else forbid
-
-
-_FRONTIER_STEPS: dict[Word, StepFn] = {
-    (1,): lambda forbid, seen, u: forbid,
-    (1, 1): lambda forbid, seen, u: forbid | 1 << u,
-    (1, 2): lambda forbid, seen, u: forbid | _above(u),
-    (2, 1): lambda forbid, seen, u: forbid | (1 << u) - 2,
-    # p1 = p2: a = u, so u must be in S
-    (1, 1, 1): lambda forbid, seen, u: forbid | 1 << u if seen >> u & 1 else forbid,
-    (1, 1, 2): lambda forbid, seen, u: forbid | _above(u) if seen >> u & 1 else forbid,
-    (2, 2, 1): lambda forbid, seen, u: forbid | (1 << u) - 2 if seen >> u & 1 else forbid,
-    # p1 < p2: some a in low
-    (1, 2, 3): lambda forbid, seen, u: forbid | _above(u) if seen & (1 << u) - 1 else forbid,
-    (1, 2, 2): lambda forbid, seen, u: forbid | 1 << u if seen & (1 << u) - 1 else forbid,
-    (1, 2, 1): lambda forbid, seen, u: forbid | seen & (1 << u) - 1,
-    (1, 3, 2): _step_132,
-    (2, 3, 1): _step_231,
-    # p1 > p2: some a in high
-    (2, 1, 3): _step_213,
-    (2, 1, 2): lambda forbid, seen, u: forbid | seen & _above(u),
-    (3, 1, 2): _step_312,
-    (2, 1, 1): lambda forbid, seen, u: forbid | 1 << u if seen >> u + 1 else forbid,
-    (3, 2, 1): lambda forbid, seen, u: forbid | (1 << u) - 2 if seen >> u + 1 else forbid,
-}
+def _frontier_step(p: Word) -> StepFn:
+    if len(p) == 1:
+        return lambda forbid, seen, u: forbid
+    (ca, da), (c, d) = _relation(p[0], p[1]), _relation(p[-1], p[-2])
+    if len(p) == 2:
+        return lambda forbid, seen, u: forbid | (c << u) + d
+    if p[2] == p[0]:
+        return lambda forbid, seen, u: forbid | seen & (ca << u) + da
+    if (p[0] - p[1]) * (p[2] - p[1]) <= 0:
+        return lambda forbid, seen, u: forbid | (c << u) + d if seen & (ca << u) + da else forbid
+    if p[2] > p[0]:
+        def step(forbid: int, seen: int, u: int) -> int:
+            a = seen & (ca << u) + da  # a ^ -a: the values above min A
+            return forbid | (c << u) + d & (a ^ -a) if a else forbid
+    else:
+        def step(forbid: int, seen: int, u: int) -> int:
+            a = seen & (ca << u) + da  # the values below max A: (1 << max A) - 1
+            return forbid | (c << u) + d & (1 << a.bit_length() - 1) - 1 if a else forbid
+    return step
 
 
 def frontier(pattern: Iterable[int]) -> tuple[int, StepFn]:
@@ -237,7 +217,7 @@ def frontier(pattern: Iterable[int]) -> tuple[int, StepFn]:
     p = check_pattern(pattern)
     if len(p) > 3:
         raise ValueError(f"frontiers cover patterns of length <= 3, got {p}")
-    return (-1 if len(p) == 1 else 0), _FRONTIER_STEPS[p]
+    return (-1 if len(p) == 1 else 0), _frontier_step(p)
 
 
 def avoid_filter(pattern: Iterable[int]) -> AcceptFn:

@@ -178,17 +178,12 @@ class PowerSeries:
         return PowerSeries(self.coeffs[k:])
 
     def sqrt(self) -> "PowerSeries":
-        """Square root with constant term 1, by Newton iteration
-        y <- (y + self / y) / 2."""
+        """Square root with constant term 1, coefficient by coefficient:
+        y_0 = 1 and y_k = (a_k - sum_{0<j<k} y_j y_{k-j}) / 2, which is
+        the coefficient of t^k in y * y = a solved for y_k."""
         if self.coeffs[0] != 1:
             raise ValueError("sqrt requires constant term 1")
-        half = Fraction(1, 2)
-        y = PowerSeries.constant(1, self.order)
-        for _ in range(self.order.bit_length() + 2):
-            nxt = (y + self / y) * half
-            if nxt == y:
-                break
-            y = nxt
-        else:
-            raise ArithmeticError("sqrt iteration failed to stabilize")
-        return y
+        y = [Fraction(1)]
+        for k in range(1, len(self.coeffs)):
+            y.append((self.coeffs[k] - sum(y[j] * y[k - j] for j in range(1, k))) / 2)
+        return PowerSeries(y)

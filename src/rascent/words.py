@@ -288,9 +288,9 @@ def is_member(x: Iterable[int], family: Family) -> bool:
 # and a fifth field: forbid, the bit set of values a pattern veto
 # refuses as the next entry.  A FrontierVeto (what patterns.avoid_filter
 # builds for patterns of length <= 3) carries forbid's initial value and
-# its update step, whose case table lives in patterns.frontier; the
-# search then clears forbid from the candidates instead of calling the
-# veto.  Any other accept leaves forbid at 0 and is called as before.
+# its update step, which patterns.frontier derives from the pattern;
+# the search then clears forbid from the candidates instead of calling
+# the veto.  Any other accept leaves forbid at 0 and is called as before.
 
 AcceptFn = Callable[[list[int], int], bool]
 StepFn = Callable[[int, int, int], int]

@@ -2,6 +2,8 @@
 
 import pytest
 
+from rascent.cli import MAX_ORDER
+from rascent.gentree import Rule, level_totals
 from rascent.oracle import (
     GF_NAMES,
     OPEN_111_PREFIX,
@@ -83,6 +85,14 @@ def test_gf_expansions_pinned():
     assert expand_gf("b123", 10) == (1, 1, 2, 4, 9, 22, 57, 154, 429, 1223)
     assert expand_gf("b132", 10) == (1, 1, 2, 5, 13, 35, 97, 275, 794, 2327)
     assert expand_gf("b213", 6) == (1, 1, 2, 5, 14, 42)
+
+
+def test_gf_expansions_at_the_cli_order_match_independent_sources():
+    # as far as `rascent gf` expands: the label DP, the 132 recurrences
+    # and the Catalan convolution share no code with the series
+    assert expand_gf("b123", MAX_ORDER)[1:] == tuple(level_totals(Rule.AVOID123, MAX_ORDER - 1))
+    assert expand_gf("b132", MAX_ORDER) == system_132(MAX_ORDER).g[1:]
+    assert expand_gf("b213", MAX_ORDER) == catalan_numbers(MAX_ORDER)
 
 
 def test_closed_form_spot_values():

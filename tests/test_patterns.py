@@ -77,19 +77,32 @@ def test_pattern_cap():
 SHORT_PATTERNS = [p for k in (1, 2, 3) for p in enumerate_family(k, Family.CAYLEY)]
 
 
-@settings(max_examples=200)
-@given(st.lists(st.integers(min_value=1, max_value=7), max_size=8))
-def test_frontier_marks_exactly_the_completing_values(prefix):
-    # prefixes that already contain the pattern are drawn too
+def _check_frontier(prefix: list, v_max: int) -> None:
+    # bit v of the frontier after the prefix is on exactly when v
+    # completes a new occurrence, for every v up to v_max
     for pattern in SHORT_PATTERNS:
         forbid, step = frontier(pattern)
         seen = 0
         for u in prefix:
             forbid, seen = step(forbid, seen, u), seen | 1 << u
         before = reference.count_subsequence_matches(prefix, pattern)
-        for v in range(1, 10):
+        for v in range(1, v_max + 1):
             after = reference.count_subsequence_matches(prefix + [v], pattern)
             assert (forbid >> v & 1) == (after > before), (pattern, prefix, v)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(min_value=1, max_value=7), max_size=8))
+def test_frontier_marks_exactly_the_completing_values(prefix):
+    # prefixes that already contain the pattern are drawn too
+    _check_frontier(prefix, 9)
+
+
+def test_frontier_marks_exactly_the_completing_values_on_every_short_prefix():
+    # every prefix of length <= 4 over 1..4, the empty one included
+    for k in range(5):
+        for prefix in itertools.product(range(1, 5), repeat=k):
+            _check_frontier(list(prefix), 5)
 
 
 def test_avoider_sets_match_filtered_enumeration():
