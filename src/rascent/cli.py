@@ -317,9 +317,12 @@ def main(argv: Iterable[str] | None = None) -> int:
             code = 1
         sys.stdout.flush()
         return code
-    except BrokenPipeError:
-        # The reader closed the pipe.  Point stdout at devnull so the
-        # flush at interpreter exit cannot raise again.
+    except OSError as exc:
+        # A write to stdout failed: the reader closed the pipe, which
+        # needs no word, or the disk is full.  Point stdout at devnull so
+        # the flush at interpreter exit cannot raise again.
+        if not isinstance(exc, BrokenPipeError):
+            print(f"rascent {args.command}: {exc}", file=sys.stderr)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except _Usage as exc:

@@ -330,6 +330,8 @@ def max_prefix_equivalent(pattern: Iterable[int], n_max: int,
     m = max(p)
     if len(p) < 2 or p[1] != m or p.count(m) != 1:
         raise ValueError(f"second entry must be the unique maximum: {p}")
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     extended = check_pattern((m,) + p)
     for n in range(1, n_max + 1):
         if avoider_words(n, p, family, cap=cap) != avoider_words(n, extended, family, cap=cap):

@@ -278,14 +278,14 @@ def is_member(x: Iterable[int], family: Family) -> bool:
 # need is |M|+1 (inf for DESTOP once 1 is missing), and 0 when M is
 # empty.  A member can always grow by repeating its last entry, so
 # need <= rest is exactly "some member extends this prefix": every
-# node the search visits leads to a member.  At each node the search
-# builds the bit set of the values that meet the rule and the bound,
-# and tries them in increasing order, which makes the output
-# lexicographic.
+# node the search visits leads to a member.  _candidates is the one
+# search step: from the node's state alone it builds the bit set of the
+# values that meet the rule and the bound, and the search tries them in
+# increasing order, which makes the output lexicographic.
 #
-# The search state is the prefix, its maximum (in ASCENT, its atop
-# instead), the bit set of values seen, whether the last entry was new,
-# and a fifth field: forbid, the bit set of values a pattern veto
+# The search state is the prefix's length, its maximum (in ASCENT, its
+# atop instead), the bit set of values seen, whether the last entry was
+# new, the last entry, and forbid, the bit set of values a pattern veto
 # refuses as the next entry.  A FrontierVeto (what patterns.avoid_filter
 # builds for patterns of length <= 3) carries forbid's initial value and
 # its update step, which patterns.frontier derives from the pattern;
@@ -316,25 +316,79 @@ class FrontierVeto:
         return self.veto(entries, v)
 
 
-_IMMEDIATE_ASC = 1  # MODIFIED: new value iff previous entry smaller
-_IMMEDIATE_DESC = 2  # DESBOT: new value iff previous entry bigger
-_DEFERRED_ASC = 3  # REVISED: position p-1 new iff x_{p-1} < x_p
-_DEFERRED_DESC = 4  # DESTOP: position p-1 new iff x_{p-1} > x_p
-_ATOP = 5  # ASCENT: at most one more than the ascent tops so far
+# A rule mode is two flags: _DESC when a leftmost occurrence sits next
+# to a larger entry, _DEFERRED when the rule looks at the entry after it.
+_DESC = 1
+_DEFERRED = 2
+_CAYLEY = 4
+_ATOP = 8  # ASCENT: at most one more than the ascent tops so far
 
 _MODE = {
     Family.ASCENT: _ATOP,
-    Family.CAYLEY: 0,
-    Family.MODIFIED: _IMMEDIATE_ASC,
-    Family.DESBOT: _IMMEDIATE_DESC,
-    Family.REVISED: _DEFERRED_ASC,
-    Family.DESTOP: _DEFERRED_DESC,
+    Family.CAYLEY: _CAYLEY,
+    Family.MODIFIED: 0,
+    Family.DESBOT: _DESC,
+    Family.REVISED: _DEFERRED,
+    Family.DESTOP: _DEFERRED | _DESC,
 }
 
 
 def _tops(maxv: int, j: int) -> int:
     """The bit set of the new maxima maxv+1 .. maxv+j."""
     return ((2 << j) - 2) << maxv if j > 0 else 0
+
+
+def _candidates(mode: int, rest: int, p: int, maxv: int, seen: int, fresh: bool, last: int) -> int:
+    """The bit set of the values v that meet the family rule and need <=
+    rest at position p, after a prefix with maximum (in ASCENT, atop)
+    maxv, bit set of values seen, and last entry last (0 if none), which
+    was new if fresh."""
+    if mode == _ATOP:
+        # 1 .. atop+1 all need 0, as a repeat of the last entry always fits
+        return (4 << maxv) - 2
+    # gaps is M after a repeat, and k = |gaps|.  Taking a value from gaps
+    # leaves k-1 missing, and a new maximum maxv+j leaves k+j-1.
+    gaps = ((2 << maxv) - 2) ^ seen
+    k = gaps.bit_count()
+    if mode == _CAYLEY:
+        # a gap k-1, a repeat k, maxv+j k+j-1
+        return gaps | _tops(maxv, rest - k + 1) | (seen if k <= rest else 0)
+    if p == 1:
+        # a first entry v leaves 1 .. v-1 missing, which MODIFIED and
+        # DESTOP refuse; DESBOT then needs v-1 more entries, REVISED v
+        return _tops(0, rest + 1 if mode == _DESC else max(rest, 1) if mode == _DEFERRED else 1)
+    # A descending mode mirrors an ascending one: its pivot is max M
+    # instead of min M, toward holds the repeats above the pivot instead
+    # of below it and away the rest, and beyond the values below last
+    # instead of above it.  MODIFIED and DESTOP start with 1, so 1 is
+    # never missing in them later.
+    if mode & _DESC:
+        pivot = 1 << gaps.bit_length() >> 1
+        toward, away, beyond = seen & -(pivot << 1), seen & (pivot - 1), (1 << last) - 2
+    else:
+        pivot = gaps & -gaps
+        toward, away, beyond = seen & (pivot - 1), seen & -(pivot << 1), -(2 << last)
+    others = gaps ^ pivot
+    if mode & _DEFERRED:  # new and rep: the new values and repeats that fit
+        # the pivot k, other gaps k+1; a repeat away k+1; in REVISED a
+        # repeat toward and a new maximum inf, in DESTOP k+2 and maxv+j
+        # k+j, as values are bounded below but not above
+        new = (pivot if k <= rest else 0) | (others if k < rest else 0)
+        rep = away if k < rest else 0
+        if mode & _DESC:
+            new |= _tops(maxv, rest - k)
+            rep |= toward if k + 1 < rest else 0
+    else:
+        # the pivot k-1, other gaps k; a repeat toward k, away k+1;
+        # maxv+j k+j, and 0 for j = 1 when k = 0 (DESBOT's beyond
+        # clears the new maxima)
+        new = pivot | (others if k <= rest else 0) | _tops(maxv, rest - k if k else rest or 1)
+        rep = (toward if k <= rest else 0) | (away if k < rest else 0)
+    if not gaps:  # a repeat needs 0 in every family
+        rep = seen
+    if not mode & _DEFERRED:
+        return new & beyond | rep & ~beyond
+    return (new | rep) & (beyond if fresh else ~beyond) if p > 2 else new | rep
 
 
 def search_family(n: int, family: Family, leaf: Callable[[list[int]], None],
@@ -365,71 +419,10 @@ def search_family(n: int, family: Family, leaf: Callable[[list[int]], None],
         accept, forbid, step = None, accept.init, accept.step
     entries: list[int] = []
 
-    def rec(maxv: int, seen: int, fresh: bool, forbid: int) -> None:
-        # seen has bit v set for every value v placed so far; fresh says
-        # whether the last entry was new; forbid is the frontier, if
-        # any.  The rule and the bound become bit sets of candidates:
-        # gaps is M after a repeat, k = |gaps|, and low and high are its
-        # least and greatest values.  Taking a value from gaps leaves
-        # k-1 missing, and a new maximum maxv+j leaves k+j-1.  MODIFIED
-        # and DESTOP start with 1, so 1 is never missing in them later.
+    def rec(maxv: int, seen: int, fresh: bool, last: int, forbid: int) -> None:
         p = len(entries) + 1
         rest = n - p
-        gaps = ((2 << maxv) - 2) ^ seen
-        k = gaps.bit_count()
-        low = gaps & -gaps
-        high = 1 << gaps.bit_length() >> 1
-        # Each line below names the need of every kind of candidate.
-        if mode == _ATOP:
-            # maxv is atop: 1 .. atop+1 all 0, as a repeat of the last
-            # entry always fits; the empty prefix's last is 0, so the
-            # first entry is an ascent top
-            cand = (4 << maxv) - 2
-            last = entries[-1] if entries else 0
-        elif not mode:
-            # a gap k-1, a repeat k, maxv+j k+j-1
-            cand = gaps | _tops(maxv, rest - k + 1) | (seen if k <= rest else 0)
-        elif p == 1:
-            # a first entry v leaves 1 .. v-1 missing, which MODIFIED and
-            # DESTOP refuse; DESBOT then needs v-1 more entries, REVISED v
-            cand = _tops(0, rest + 1 if mode == _IMMEDIATE_DESC
-                         else max(rest, 1) if mode == _DEFERRED_ASC else 1)
-        else:
-            # new and rep are the new values and the repeats that fit
-            if mode == _IMMEDIATE_ASC:
-                # gap low k-1, other gaps k; a repeat below low k, above
-                # it k+1; maxv+j k+j, and 0 for j = 1 when k = 0
-                new = low | (gaps ^ low if k <= rest else 0) | _tops(maxv, rest - k if k else max(rest, 1))
-                rep = (seen & (low - 1) if k <= rest else 0) | (seen & -(low << 1) if k < rest else 0)
-            elif mode == _IMMEDIATE_DESC:
-                # gap high k-1, other gaps k; a repeat above high k, below
-                # it k+1; a new maximum lies above last, which the rule
-                # refuses
-                new = high | (gaps ^ high if k <= rest else 0)
-                rep = (seen & -(high << 1) if k <= rest else 0) | (seen & (high - 1) if k < rest else 0)
-            elif mode == _DEFERRED_ASC:
-                # gap low k, other gaps k+1; a repeat above low k+1, below
-                # it inf; a new maximum inf
-                new = (low if k <= rest else 0) | (gaps ^ low if k < rest else 0)
-                rep = seen & -(low << 1) if k < rest else 0
-            else:
-                # gap high k, other gaps k+1; a repeat below high k+1,
-                # above it k+2; maxv+j k+j
-                new = (high if k <= rest else 0) | (gaps ^ high if k < rest else 0) | _tops(maxv, rest - k)
-                rep = (seen & (high - 1) if k < rest else 0) | (seen & -(high << 1) if k + 1 < rest else 0)
-            if not gaps:  # a repeat needs 0 in every family
-                rep = seen
-            # beyond holds the values v with last < v in the ascending
-            # modes and last > v otherwise
-            last = entries[-1]
-            beyond = -(2 << last) if mode in (_IMMEDIATE_ASC, _DEFERRED_ASC) else (1 << last) - 2
-            if mode in (_IMMEDIATE_ASC, _IMMEDIATE_DESC):
-                cand = new & beyond | rep & ~beyond
-            elif p > 2:
-                cand = (new | rep) & (beyond if fresh else ~beyond)
-            else:
-                cand = new | rep
-        cand &= ~forbid
+        cand = _candidates(mode, rest, p, maxv, seen, fresh, last) & ~forbid
         while cand:
             bit = cand & -cand
             cand ^= bit
@@ -439,12 +432,12 @@ def search_family(n: int, family: Family, leaf: Callable[[list[int]], None],
             entries.append(v)
             if rest:
                 rec(maxv + (v > last) if mode == _ATOP else v if v > maxv else maxv,
-                    seen | bit, not seen & bit, step(forbid, seen, v) if step else forbid)
+                    seen | bit, not seen & bit, v, step(forbid, seen, v) if step else forbid)
             else:
                 leaf(entries)
             entries.pop()
 
-    rec(0, 0, False, forbid)
+    rec(0, 0, False, 0, forbid)
 
 
 def enumerate_family(n: int, family: Family, cap: int = DEFAULT_CAP) -> list[Word]:

@@ -244,6 +244,20 @@ def test_closed_pipe_exits_quietly():
         assert proc.stderr.read() == b""
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["enumerate", "--family", "rasc", "--n", "6"],
+                                  ["gf", "--name", "b213", "--order", "6"]], ids=" ".join)
+def test_failed_write_exits_quietly(argv):
+    # every write to /dev/full fails with ENOSPC
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "rascent.cli", *argv], stdout=full,
+                              stderr=subprocess.PIPE, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert b"Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"rascent {argv[0]}: ".encode())
+
+
 def test_interrupt_exits_quietly():
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     with subprocess.Popen([sys.executable, "-m", "rascent.cli", "enumerate", "--family", "cayley", "--n", "9"],

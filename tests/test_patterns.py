@@ -186,6 +186,9 @@ def test_max_prefix_equivalent_precondition():
         max_prefix_equivalent((2, 1), 6)  # maximum leads, not second
     with pytest.raises(ValueError):
         max_prefix_equivalent((1, 2, 2), 6)  # maximum repeats
+    for n_max in (0, -3):  # no length to compare
+        with pytest.raises(ValueError, match="n_max must be >= 1"):
+            max_prefix_equivalent((1, 2), n_max)
 
 
 def test_wilf_classes_of_length_two():

@@ -1,6 +1,7 @@
 """Statistics, family membership and enumeration."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -27,7 +28,8 @@ from rascent.words import (
     search_family,
     stat_sets,
 )
-from rascent.oracle import fishburn
+from rascent.words import _MODE, _candidates
+from rascent.oracle import fishburn, stirling2
 
 import reference
 
@@ -104,6 +106,36 @@ def test_search_offers_exactly_the_member_prefixes(family):
         search_family(n, family, lambda e: None,
                       accept=lambda e, v: offered.append((*e, v)) or True)
         assert sorted(offered) == sorted(prefixes)
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_candidates_depend_only_on_the_state(family):
+    # the search step sees only the state a level-by-level count keys
+    # on, derived here from the prefix, and its bit set holds exactly
+    # the values v for which prefix + v is a member prefix
+    for n in range(1, 7):
+        prefixes = {w[:k] for w in reference.brute_family(n, family.value) for k in range(n + 1)}
+        for x in prefixes:
+            if len(x) == n:
+                continue
+            if family is Family.ASCENT:
+                top = len(reference.ascent_top_positions(x)) if x else 0
+            else:
+                top = max(x, default=0)
+            seen = sum(1 << v for v in set(x))
+            fresh = bool(x) and x[-1] not in x[:-1]
+            last = x[-1] if x else 0
+            p = len(x) + 1
+            cand = _candidates(_MODE[family], n - p, p, top, seen, fresh, last)
+            want = {v for v in range(1, n + 1) if (*x, v) in prefixes}
+            assert {v for v in range(cand.bit_length()) if cand >> v & 1} == want, (n, x)
+
+
+def test_cayley_counts_are_fubini_numbers():
+    # ordered set partitions: sum over k of k! S(n, k)
+    fubini = [sum(math.factorial(k) * stirling2(n, k) for k in range(n + 1)) for n in range(1, 9)]
+    assert fubini == [1, 3, 13, 75, 541, 4683, 47293, 545835]
+    assert [count_family(n, Family.CAYLEY) for n in range(1, 9)] == fubini
 
 
 @pytest.mark.parametrize("family, shift", [
