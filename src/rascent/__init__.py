@@ -33,7 +33,7 @@ _PUBLIC = {
                   smallest_rise_top word_label""",
     "series": "PowerSeries",
     "oracle": """GF_NAMES OPEN_111_PREFIX TABLE_ROWS bell_numbers catalan_numbers closed_form
-                 expand_gf fishburn recurrence_213 stirling2 system_132""",
+                 closed_form_counts expand_gf fishburn recurrence_213 stirling2 system_132""",
     "verify": "Check SUITE_NAMES run_suite",
 }
 _HOME = {name: module for module, names in _PUBLIC.items() for name in names.split()}

@@ -13,6 +13,12 @@ output pipe or an interrupt (Ctrl-C), 2 usage error.  Output is
 deterministic: identical arguments give identical bytes.  Plain lines
 are meant for people, JSONL for machines; CSV is offered where the
 output is a table.
+
+Results leave as soon as they exist: `enumerate` writes each word as
+the search reaches it, `verify` writes each suite's records when that
+suite ends, and `count` writes each length once it is counted; `gf` and
+`wilf` print when they are done.  A line once written stays written
+after a later failure or interrupt.
 """
 
 from __future__ import annotations
@@ -132,15 +138,13 @@ def _cmd_enumerate(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _oracle(pattern):
-    """The oracle's count as a function of n, or None when the pattern
+def _oracle(pattern, n_max: int):
+    """The oracle's counts for n = 1..n_max, or None when the pattern
     has no closed form."""
-    from .oracle import closed_form, fishburn
+    from .oracle import closed_form_counts, fishburn
     if pattern is None:
-        return lambda n: 1 if n == 1 else fishburn(n - 1)[n - 2]
-    if closed_form(pattern, 1) is None:
-        return None
-    return lambda n: closed_form(pattern, n)
+        return (1,) + fishburn(n_max - 1) if n_max > 1 else (1,)
+    return closed_form_counts(pattern, n_max)
 
 
 def _cmd_count(args: argparse.Namespace, out) -> int:
@@ -160,13 +164,13 @@ def _cmd_count(args: argparse.Namespace, out) -> int:
         raise _Usage("--dump-labels needs the tree method and plain format")
     if args.n_max < 1:
         raise _Usage("--n-max must be positive")
-    oracle = _oracle(pattern) if "oracle" in methods else None
-    if oracle is None and set(methods) == {"oracle"}:
-        raise _Usage(f"{format_word(pattern)} has no closed form, so --method oracle has nothing to count")
-
     cap = _cap(args)
     if "brute" in methods and args.n_max > cap:
         raise CapExceededError(f"length {args.n_max} exceeds cap {cap}")
+    # the whole column at once, after the cap check: a refused run expands nothing
+    oracle = _oracle(pattern, args.n_max) if "oracle" in methods else None
+    if oracle is None and set(methods) == {"oracle"}:
+        raise _Usage(f"{format_word(pattern)} has no closed form, so --method oracle has nothing to count")
     if "oracle" in methods and oracle is None:
         print(f"rascent count: {format_word(pattern)} has no closed form; the oracle column is omitted",
               file=sys.stderr)
@@ -177,46 +181,43 @@ def _cmd_count(args: argparse.Namespace, out) -> int:
         rule = Rule.FULL if pattern is None else Rule.AVOID123
         levels = label_counts(rule, max(args.n_max - 1, 1))  # the totals and --dump-labels
 
-    rows: list[tuple[int, str, int]] = []
-    for n in range(1, args.n_max + 1):
-        if "brute" in methods:
-            if pattern is None:
-                rows.append((n, "brute", count_family(n, family, cap=cap)))
-            else:
-                rows.append((n, "brute", count_avoiders(n, pattern, family, cap=cap)))
-        if "tree" in methods:
-            # trees start at length 2; the sole length-1 word sits above the root
-            rows.append((n, "tree", 1 if n == 1 else levels[n - 2].total))
-        if oracle is not None:
-            rows.append((n, "oracle", oracle(n)))
-
-    agree = {n: len({c for rn, _, c in rows if rn == n}) <= 1 for n in range(1, args.n_max + 1)}
-
     if args.format == "csv":
         out.write("n,method,count\n")
-        for n, method, count in rows:
-            out.write(f"{n},{method},{count}\n")
     elif args.format == "jsonl":
         import json
-        for n, method, count in rows:
-            out.write(json.dumps({"n": n, "method": method, "count": str(count)}) + "\n")
-        for n in sorted(agree):
-            if sum(1 for rn, _, _ in rows if rn == n) > 1:
-                out.write(json.dumps({"n": n, "pass": agree[n]}) + "\n")
-    else:
-        for n in range(1, args.n_max + 1):
-            parts = [f"{method}={count}" for rn, method, count in rows if rn == n]
-            suffix = "" if len(parts) <= 1 else ("  ok" if agree[n] else "  MISMATCH")
-            out.write(f"n={n}  " + "  ".join(parts) + suffix + "\n")
+    agree: list[bool] = []
+    for n in range(1, args.n_max + 1):
+        row: list[tuple[str, int]] = []
+        if "brute" in methods:
+            if pattern is None:
+                row.append(("brute", count_family(n, family, cap=cap)))
+            else:
+                row.append(("brute", count_avoiders(n, pattern, family, cap=cap)))
+        if "tree" in methods:
+            # trees start at length 2; the sole length-1 word sits above the root
+            row.append(("tree", 1 if n == 1 else levels[n - 2].total))
+        if oracle is not None:
+            row.append(("oracle", oracle[n - 1]))
+        agree.append(len({count for _, count in row}) <= 1)
+        if args.format == "csv":
+            out.write("".join(f"{n},{method},{count}\n" for method, count in row))
+        elif args.format == "jsonl":
+            out.write("".join(json.dumps({"n": n, "method": method, "count": str(count)}) + "\n"
+                              for method, count in row))
+        else:
+            suffix = "" if len(row) <= 1 else ("  ok" if agree[-1] else "  MISMATCH")
+            out.write(f"n={n}  " + "  ".join(f"{method}={count}" for method, count in row) + suffix + "\n")
+        out.flush()  # each length leaves as soon as it is counted
 
+    if args.format == "jsonl" and len(row) > 1:  # every length was counted more than one way
+        for n, ok in enumerate(agree, start=1):
+            out.write(json.dumps({"n": n, "pass": ok}) + "\n")
     if args.dump_labels:
         for lc in levels:
             terms = " ".join(f"{a},{b}:{c}" for (a, b), c in sorted(lc.counts.items()))
             out.write(f"level {lc.level}: {terms}\n")
 
-    if not args.no_check and not all(agree.values()):
-        return 1
-    return 0
+    return 0 if args.no_check or all(agree) else 1
 
 
 def _cmd_verify(args: argparse.Namespace, out) -> int:
@@ -225,19 +226,23 @@ def _cmd_verify(args: argparse.Namespace, out) -> int:
     from .verify import run_suite
     if args.format == "jsonl":
         import json
-    checks = run_suite(args.suite, args.n_max)
-    for c in checks:
-        if args.format == "jsonl":
-            record = {"suite": c.suite, "property": c.name, "pass": c.passed,
-                      "counterexample": c.counterexample}
-            out.write(json.dumps(record) + "\n")
-        else:
-            mark = "PASS" if c.passed else "FAIL"
-            line = f"{mark}  {c.suite}.{c.name}  [{c.scope}]"
-            if c.counterexample:
-                line += f"  counterexample: {c.counterexample}"
-            out.write(line + "\n")
-    return 0 if all(c.passed for c in checks) else 1
+    passed = True
+    for name in SUITE_NAMES if args.suite == "all" else (args.suite,):
+        checks = run_suite(name, args.n_max)
+        for c in checks:
+            if args.format == "jsonl":
+                record = {"suite": c.suite, "property": c.name, "pass": c.passed,
+                          "counterexample": c.counterexample}
+                out.write(json.dumps(record) + "\n")
+            else:
+                mark = "PASS" if c.passed else "FAIL"
+                line = f"{mark}  {c.suite}.{c.name}  [{c.scope}]"
+                if c.counterexample:
+                    line += f"  counterexample: {c.counterexample}"
+                out.write(line + "\n")
+        out.flush()  # each suite leaves as soon as it ends
+        passed &= all(c.passed for c in checks)
+    return 0 if passed else 1
 
 
 def _cmd_gf(args: argparse.Namespace, out) -> int:

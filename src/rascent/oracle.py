@@ -203,41 +203,39 @@ def expand_gf(name: str, order: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Closed forms for the solved avoidance classes, keyed by pattern.
+# Closed forms for the solved avoidance classes, keyed by pattern.  Each
+# class gives its counts for n = 2..n_max in one call, so that a series
+# or a sequence is expanded once for a whole column, not once per n.
 
 def _count_121_class(n: int) -> int:
     # sum_{k=1..n-1} k^(n-k-1), with 0^0 = 1
     return sum(k ** (n - k - 1) for k in range(1, n))
 
 
-def _one(_n: int) -> int:
-    return 1
-
-
-def _zero(_n: int) -> int:
-    return 0
+def _per_n(fn):
+    return lambda n_max: tuple(fn(n) for n in range(2, n_max + 1))
 
 
 _CLOSED: dict[Word, object] = {}
 _ROWS: list[tuple[Word, ...]] = []
 
 
-def _register(patterns: tuple[Word, ...], fn) -> None:
+def _register(patterns: tuple[Word, ...], counts) -> None:
     _ROWS.append(patterns)
     for p in patterns:
-        _CLOSED[p] = fn
+        _CLOSED[p] = counts
 
 
-_register(((1, 1),), _zero)
-_register(((1, 2), (2, 1), (2, 1, 2)), _one)
-_register(((2, 2, 1),), lambda n: n - 1)
-_register(((3, 1, 2), (1, 2, 2)), lambda n: 2 ** (n - 2))
-_register(((2, 3, 1), (3, 2, 1), (3, 2, 3, 1)), lambda n: 2 ** (n - 1) - n + 1)
-_register(((2, 1, 3),), lambda n: catalan_numbers(n)[n - 1])
-_register(((1, 2, 1), (2, 1, 1), (2, 1, 2, 1)), _count_121_class)
-_register(((1, 1, 2),), lambda n: bell_numbers(n)[n - 1])
-_register(((1, 2, 3),), lambda n: expand_gf("b123", n)[n - 1])
-_register(((1, 3, 2), (3, 1, 3, 2)), lambda n: expand_gf("b132", n)[n - 1])
+_register(((1, 1),), _per_n(lambda n: 0))
+_register(((1, 2), (2, 1), (2, 1, 2)), _per_n(lambda n: 1))
+_register(((2, 2, 1),), _per_n(lambda n: n - 1))
+_register(((3, 1, 2), (1, 2, 2)), _per_n(lambda n: 2 ** (n - 2)))
+_register(((2, 3, 1), (3, 2, 1), (3, 2, 3, 1)), _per_n(lambda n: 2 ** (n - 1) - n + 1))
+_register(((2, 1, 3),), lambda n_max: catalan_numbers(n_max)[1:])
+_register(((1, 2, 1), (2, 1, 1), (2, 1, 2, 1)), _per_n(_count_121_class))
+_register(((1, 1, 2),), lambda n_max: bell_numbers(n_max)[1:])
+_register(((1, 2, 3),), lambda n_max: expand_gf("b123", n_max)[1:])
+_register(((1, 3, 2), (3, 1, 3, 2)), lambda n_max: expand_gf("b132", n_max)[1:])
 
 #: Patterns with a known closed form or algebraic series, one row per
 #: registration above, grouped by shared avoidance counts.
@@ -248,22 +246,32 @@ TABLE_ROWS: tuple[tuple[Word, ...], ...] = tuple(_ROWS)
 OPEN_111_PREFIX: tuple[int, ...] = (1, 1, 2, 4, 10, 29, 97)
 
 
+def closed_form_counts(pattern: Word, n_max: int) -> tuple[int, ...] | None:
+    """Predicted numbers of revised ascent sequences of lengths 1..n_max
+    avoiding the pattern, or None when the class is unsolved.
+
+    >>> closed_form_counts((2, 1, 3), 6)
+    (1, 1, 2, 5, 14, 42)
+    """
+    p = check_word(pattern)
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    counts = _CLOSED.get(p)
+    # the single word 1 avoids every pattern here (all have length >= 2)
+    return None if counts is None else (1,) + counts(n_max)
+
+
 def closed_form(pattern: Word, n: int) -> int | None:
     """Predicted number of length-n revised ascent sequences avoiding
-    the pattern, or None when the class is unsolved.
+    the pattern, or None when the class is unsolved: the last entry of
+    `closed_form_counts(pattern, n)`.
 
     >>> closed_form((3, 2, 1), 6)
     27
     >>> closed_form((1, 1, 1), 6) is None
     True
     """
-    p = check_word(pattern)
     if n < 1:
         raise ValueError("n must be >= 1")
-    fn = _CLOSED.get(p)
-    if fn is None:
-        return None
-    if n == 1:
-        # the single word 1 avoids every pattern here (all have length >= 2)
-        return 1
-    return fn(n)
+    counts = closed_form_counts(pattern, n)
+    return None if counts is None else counts[-1]

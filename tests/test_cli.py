@@ -13,7 +13,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rascent.cli as cli
+import rascent.oracle as oracle
+import rascent.patterns as patterns
+import rascent.verify as verify
+from rascent import SUITE_NAMES
 from rascent.cli import main
+
+ETA_CHECKS = ("one-step-recursion", "max-counts-ascent-tops", "bijection-onto-next-length",
+              "equals-relabel-of-padded-word", "inverse-round-trip", "counts-match-fishburn")
 
 
 def run(capsys, *argv):
@@ -68,6 +75,78 @@ def test_enumerate_streams_from_the_search(monkeypatch, extra):
     monkeypatch.setattr(sys, "stdout", Stdout())
     assert main(["enumerate", "--n", "8", *extra]) == 0
     assert state["first_write_after_search"] is False
+
+
+class FlushedStdout:
+    """Stands in for stdout and keeps apart what was only written and
+    what was flushed."""
+
+    def __init__(self):
+        self.pending, self.flushed = [], []
+
+    def write(self, text):
+        self.pending.append(text)
+        return len(text)
+
+    def flush(self):
+        self.flushed += self.pending
+        self.pending.clear()
+
+    def text(self):
+        return "".join(self.flushed)
+
+
+def test_verify_streams_each_suite(monkeypatch):
+    # the eta records have left before the next suite starts
+    real, seen, stdout = verify._SUITES["addrom"], [], FlushedStdout()
+
+    def addrom(n_max):
+        seen.append(stdout.text().splitlines())
+        return real(n_max)
+
+    monkeypatch.setitem(verify._SUITES, "addrom", addrom)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["verify", "--suite", "all", "--n-max", "4"]) == 0
+    assert seen == [[f"PASS  eta.{name}  [n<=4]" for name in ETA_CHECKS]]
+
+
+def test_count_streams_each_length(monkeypatch):
+    # the n = 1 row has left before n = 2 is counted
+    real, seen, stdout = patterns.count_avoiders, {}, FlushedStdout()
+
+    def count_avoiders(n, *args, **kwargs):
+        seen[n] = stdout.text()
+        return real(n, *args, **kwargs)
+
+    monkeypatch.setattr(patterns, "count_avoiders", count_avoiders)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["count", "--avoid", "123", "--n-max", "3", "--method", "brute,oracle"]) == 0
+    assert seen == {1: "", 2: "n=1  brute=1  oracle=1  ok\n",
+                    3: "n=1  brute=1  oracle=1  ok\nn=2  brute=1  oracle=1  ok\n"}
+
+
+@pytest.mark.parametrize("fmt", ["plain", "jsonl"])
+def test_verify_all_prints_each_suite_in_turn(capsys, fmt):
+    # streaming changes when the bytes leave, not which bytes they are
+    suites = [run(capsys, "verify", "--suite", name, "--n-max", "4", "--format", fmt)
+              for name in SUITE_NAMES]
+    assert run(capsys, "verify", "--suite", "all", "--n-max", "4", "--format", fmt) == (
+        max(code for code, _, _ in suites), "".join(out for _, out, _ in suites), "")
+
+
+def test_oracle_column_expands_its_series_once(capsys, monkeypatch):
+    calls = []
+
+    def expand_gf(*args):
+        calls.append(args)
+        return real(*args)
+
+    real = oracle.expand_gf
+    monkeypatch.setattr(oracle, "expand_gf", expand_gf)
+    code, out, _ = run(capsys, "count", "--avoid", "123", "--method", "oracle", "--n-max", "25")
+    assert code == 0
+    assert out.splitlines()[-1] == f"n=25  oracle={real('b123', 25)[-1]}"
+    assert calls == [("b123", 25)]
 
 
 def test_enumerate_cap_violation(capsys):
@@ -143,6 +222,30 @@ def test_count_dump_labels(capsys):
     assert code == 0
     assert "level 1: 1,1:1" in out
     assert "level 3: 1,1:1 2,1:1 2,2:2 3,3:1" in out
+
+
+_COUNT_123 = {
+    "plain": "n=1  brute=1  oracle=1  ok\nn=2  brute=1  oracle=1  ok\n"
+             "n=3  brute=2  oracle=2  ok\nn=4  brute=4  oracle=4  ok\n",
+    "csv": "n,method,count\n1,brute,1\n1,oracle,1\n2,brute,1\n2,oracle,1\n"
+           "3,brute,2\n3,oracle,2\n4,brute,4\n4,oracle,4\n",
+    "jsonl": "".join(f'{{"n": {n}, "method": "{m}", "count": "{c}"}}\n'
+                     for n, c in enumerate((1, 1, 2, 4), start=1) for m in ("brute", "oracle"))
+             + "".join(f'{{"n": {n}, "pass": true}}\n' for n in range(1, 5)),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(_COUNT_123))
+def test_count_keeps_its_bytes(capsys, fmt):
+    assert run(capsys, "count", "--avoid", "123", "--n-max", "4", "--method", "brute,oracle",
+               "--format", fmt) == (0, _COUNT_123[fmt], "")
+
+
+def test_count_keeps_its_bytes_with_dumped_labels(capsys):
+    assert run(capsys, "count", "--n-max", "4", "--method", "tree,oracle", "--dump-labels") == (
+        0, "n=1  tree=1  oracle=1  ok\nn=2  tree=1  oracle=1  ok\nn=3  tree=2  oracle=2  ok\n"
+           "n=4  tree=5  oracle=5  ok\nlevel 1: 1,1:1\nlevel 2: 1,1:1 2,2:1\n"
+           "level 3: 1,1:1 2,1:1 2,2:2 3,3:1\n", "")
 
 
 def test_count_usage_errors(capsys):
@@ -268,6 +371,31 @@ def test_interrupt_exits_quietly():
         assert proc.returncode == 1
         assert b"Traceback" not in err
         assert err == b"rascent enumerate: interrupted\n"
+
+
+def test_interrupted_verify_keeps_the_suites_it_wrote():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    # unbuffered, so that readline takes one line and communicate the rest
+    with subprocess.Popen([sys.executable, "-m", "rascent.cli", "verify", "--suite", "all", "--n-max", "9"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, bufsize=0) as proc:
+        first = proc.stdout.readline()
+        proc.send_signal(signal.SIGINT)
+        rest, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert err == b"rascent verify: interrupted\n"
+        lines = (first + rest).decode().splitlines()
+        assert lines[:6] == [f"PASS  eta.{name}  [n<=9]" for name in ETA_CHECKS]
+
+
+def test_closed_pipe_during_count_exits_quietly():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    with subprocess.Popen([sys.executable, "-m", "rascent.cli", "count", "--avoid", "112", "--n-max", "12",
+                           "--method", "brute"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"n=1  brute=1\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        assert proc.stderr.read() == b""
 
 
 def test_argparse_usage_exit(capsys):

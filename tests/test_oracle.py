@@ -11,6 +11,7 @@ from rascent.oracle import (
     bell_numbers,
     catalan_numbers,
     closed_form,
+    closed_form_counts,
     expand_gf,
     fishburn,
     recurrence_213,
@@ -120,6 +121,16 @@ def test_closed_form_row_agreement():
         for n in range(1, 10):
             values = {closed_form(p, n) for p in row}
             assert len(values) == 1
+
+
+def test_closed_form_counts_is_the_column_of_closed_form():
+    for row in TABLE_ROWS:
+        for p in row:
+            counts = closed_form_counts(p, 14)
+            assert counts == tuple(closed_form(p, n) for n in range(1, 15)), p
+    assert closed_form_counts((1, 1, 1), 14) is None
+    with pytest.raises(ValueError, match="n_max must be >= 1"):
+        closed_form_counts((1, 2, 3), 0)
 
 
 def test_open_row_prefix_constant():
