@@ -101,11 +101,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cap(args: argparse.Namespace) -> int:
+def _cap(args: argparse.Namespace, default: int = DEFAULT_CAP) -> int:
     value = getattr(args, "cap_override", None)
     if value is not None and value < 1:
         raise _Usage("--cap-override must be positive")
-    return DEFAULT_CAP if value is None else value
+    return default if value is None else value
 
 
 def _cmd_enumerate(args: argparse.Namespace, out) -> int:
@@ -165,8 +165,10 @@ def _cmd_count(args: argparse.Namespace, out) -> int:
     if args.n_max < 1:
         raise _Usage("--n-max must be positive")
     cap = _cap(args)
-    if "brute" in methods and args.n_max > cap:
-        raise CapExceededError(f"length {args.n_max} exceeds cap {cap}")
+    # tree and oracle alone go as far as gf does; brute stops at the length cap
+    limit = cap if "brute" in methods else _cap(args, MAX_ORDER)
+    if args.n_max > limit:
+        raise CapExceededError(f"length {args.n_max} exceeds cap {limit}")
     # the whole column at once, after the cap check: a refused run expands nothing
     oracle = _oracle(pattern, args.n_max) if "oracle" in methods else None
     if oracle is None and set(methods) == {"oracle"}:
@@ -223,6 +225,9 @@ def _cmd_count(args: argparse.Namespace, out) -> int:
 def _cmd_verify(args: argparse.Namespace, out) -> int:
     if args.n_max < 1:
         raise _Usage("--n-max must be positive")
+    # the suites enumerate up to length n_max + 1; refuse before any runs
+    if args.n_max + 1 > DEFAULT_CAP:
+        raise CapExceededError(f"length {args.n_max + 1} exceeds cap {DEFAULT_CAP}")
     from .verify import run_suite
     if args.format == "jsonl":
         import json

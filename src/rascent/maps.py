@@ -54,7 +54,7 @@ def revise(x: Iterable[int]) -> ReviseTrace:
 
 
 def _revise(w: Word) -> ReviseTrace:
-    bottoms = tuple(sorted(_words._ascent_bottoms(w)))
+    bottoms = _words._positions(_words._ascent_bottoms(w))
     relabeled = relabel(w, bottoms)
     return ReviseTrace(source=w, relabeled=relabeled, revised=(max(relabeled),) + relabeled, bottoms=bottoms)
 

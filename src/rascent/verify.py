@@ -9,9 +9,8 @@ and derives every check from them.  Each check is a lazy stream of
 counterexamples of which only the first is drawn.  A sweep pays once
 per word and once per pattern: a pattern tested against many words is
 compiled once for all of them (`occurrence_test`), and the statistics
-sweep validates each word at most once, in `complement`, and computes
-only the statistic sets its check compares.  Suite names are part of
-the CLI contract.
+sweep tests each Cayley word as the search reaches it, keeps none, and
+compares position bit sets.  Suite names are part of the CLI contract.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from .gentree import _RULE_CHILDREN, Rule
 from .oracle import OPEN_111_PREFIX, TABLE_ROWS
 from .series import PowerSeries
 from .words import DEFAULT_CAP, Family, Word
-from .words import _ascent_bottoms, _ascent_tops, _descent_bottoms, _descent_tops, _format_word, _nub
+from .words import _ascent_bottoms, _ascent_tops, _descent_bottoms, _descent_tops, _format_word, _nub, _positions
 
 
 class Check(NamedTuple):
@@ -98,14 +97,14 @@ def suite_eta(n_max: int) -> list[Check]:
             s.note("one-step-recursion", (_format_word(x) for x, y in image.items()
                                           if y != _maps._add_entry(shorter[x[:-1]], x[-1])))
         s.note("max-counts-ascent-tops", (_format_word(x) for x, y in image.items()
-                                          if max(y) != len(_ascent_tops(x))))
+                                          if max(y) != _ascent_tops(x).bit_count()))
         s.note("counts-match-fishburn", [f"n={n}"] if len(revised) != fib[n - 1] else [])
         revised = _words.enumerate_family(n + 1, Family.REVISED)
         s.note("bijection-onto-next-length", _bijection_misses(list(image.values()), revised))
         if n <= relabel_top:
             s.note("equals-relabel-of-padded-word",
                    (_format_word(x) for x, y in image.items()
-                    if y != _maps.relabel((1,) + x, _ascent_bottoms((1,) + x))))
+                    if y != _maps.relabel((1,) + x, _positions(_ascent_bottoms((1,) + x)))))
         s.note("inverse-round-trip", (_format_word(x) for x, y in image.items()
                                       if _maps._unrevise(y) != x))
     return [
@@ -144,13 +143,23 @@ def _complement_misses(n: int, revised: Sequence[Word]) -> Iterator[str]:
             yield f"{fam.value}->{mate.value} at n={n}"
 
 
-def _stat_misses(words: Iterable[Word]) -> Iterator[str]:
+def _stat_miss(w: Sequence[int]) -> bool:
     # complement validates w; nothing else does, and c is built valid
-    for w in words:
-        c = _maps.complement(w)
-        if (_ascent_tops(w) != _descent_bottoms(c) or _ascent_bottoms(w) != _descent_tops(c)
-                or _nub(w) != _nub(c)):
-            yield _format_word(w)
+    c = _maps.complement(w)
+    return (_ascent_tops(w) != _descent_bottoms(c) or _ascent_bottoms(w) != _descent_tops(c)
+            or _nub(w) != _nub(c))
+
+
+def _cayley_stat_misses(n: int) -> Iterator[str]:
+    # each word is tested as the search reaches it; after a miss, none is
+    misses: list[str] = []
+
+    def leaf(entries: list[int]) -> None:
+        if not misses and _stat_miss(entries):
+            misses.append(_format_word(entries))
+
+    _words.search_family(n, Family.CAYLEY, leaf)
+    yield from misses
 
 
 def _sampled_cayley(lengths: Iterable[int], per_length: int) -> Iterator[Word]:
@@ -164,7 +173,7 @@ def _max_misses(words: Sequence[Word]) -> Iterator[str]:
     for w in words:
         m = max(w)
         if (w[0] != m or (len(w) >= 2 and w.count(m) < 2)
-                or m != len(_ascent_bottoms(w)) or m != len(_ascent_tops(w))):
+                or m != _ascent_bottoms(w).bit_count() or m != _ascent_tops(w).bit_count()):
             yield _format_word(w)
 
 
@@ -184,11 +193,12 @@ def suite_addrom(n_max: int) -> list[Check]:
         shorter = words
         s.note("complement-swaps-families", _complement_misses(n, words))
         if n <= 7:
-            s.note("complement-swaps-statistics", _stat_misses(_words.enumerate_family(n, Family.CAYLEY)))
+            s.note("complement-swaps-statistics", _cayley_stat_misses(n))
         s.note("first-entry-is-repeated-max", _max_misses(words))
     if n_max >= 8:
         # lengths 8 and 9 are sampled; exhaustive Cayley sweeps get large
-        s.note("complement-swaps-statistics", _stat_misses(_sampled_cayley((8, 9), 2000)))
+        s.note("complement-swaps-statistics",
+               (_format_word(w) for w in _sampled_cayley((8, 9), 2000) if _stat_miss(w)))
     return [
         s.check("extension-stays-in-family", scope),
         s.check("every-word-is-an-extension", f"n<={n_max + 1}"),

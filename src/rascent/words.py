@@ -121,51 +121,73 @@ def ascent_tops(x: Iterable[int]) -> frozenset[int]:
     >>> sorted(ascent_tops((1, 3, 5, 1, 4, 4, 3, 1, 2)))
     [1, 2, 3, 5, 9]
     """
-    return _ascent_tops(check_word(x))
+    return frozenset(_positions(_ascent_tops(check_word(x))))
 
 
 def ascent_bottoms(x: Iterable[int]) -> frozenset[int]:
     """Positions i < n with x_i < x_{i+1}, together with position 1."""
-    return _ascent_bottoms(check_word(x))
+    return frozenset(_positions(_ascent_bottoms(check_word(x))))
 
 
 def descent_tops(x: Iterable[int]) -> frozenset[int]:
     """Positions i < n with x_i > x_{i+1}, together with position 1."""
-    return _descent_tops(check_word(x))
+    return frozenset(_positions(_descent_tops(check_word(x))))
 
 
 def descent_bottoms(x: Iterable[int]) -> frozenset[int]:
     """Positions i with x_{i-1} > x_i, together with position 1."""
-    return _descent_bottoms(check_word(x))
+    return frozenset(_positions(_descent_bottoms(check_word(x))))
 
 
 # The four statistics, the nub and the membership tests of a word already
-# validated by check_word.  A Cayley-based family is cut out by the
-# statistic in _MARKS whose set must equal the leftmost occurrences (for
-# CAYLEY, the nub itself).
+# validated by check_word (a tuple or the search's entry list).  Each is a
+# position bit set, bit i for position i; _positions lists it in order.
+# A Cayley-based family is cut out by the statistic in _MARKS whose set
+# must equal the leftmost occurrences (for CAYLEY, the nub itself).
 
-def _ascent_tops(w: Word) -> frozenset[int]:
-    return frozenset({1} | {i for i in range(2, len(w) + 1) if w[i - 2] < w[i - 1]})
-
-
-def _ascent_bottoms(w: Word) -> frozenset[int]:
-    return frozenset({1} | {i for i in range(1, len(w)) if w[i - 1] < w[i]})
+def _positions(bits: int) -> tuple[int, ...]:
+    return tuple(i for i in range(1, bits.bit_length()) if bits >> i & 1)
 
 
-def _descent_tops(w: Word) -> frozenset[int]:
-    return frozenset({1} | {i for i in range(1, len(w)) if w[i - 1] > w[i]})
+def _ascent_tops(w: Word) -> int:
+    bits = 2
+    for i in range(1, len(w)):
+        if w[i - 1] < w[i]:
+            bits |= 2 << i
+    return bits
 
 
-def _descent_bottoms(w: Word) -> frozenset[int]:
-    return frozenset({1} | {i for i in range(2, len(w) + 1) if w[i - 2] > w[i - 1]})
+def _ascent_bottoms(w: Word) -> int:
+    bits = 2
+    for i in range(1, len(w)):
+        if w[i - 1] < w[i]:
+            bits |= 1 << i
+    return bits
 
 
-def _nub(w: Word) -> frozenset[int]:
-    first: dict[int, int] = {}
+def _descent_tops(w: Word) -> int:
+    bits = 2
+    for i in range(1, len(w)):
+        if w[i - 1] > w[i]:
+            bits |= 1 << i
+    return bits
+
+
+def _descent_bottoms(w: Word) -> int:
+    bits = 2
+    for i in range(1, len(w)):
+        if w[i - 1] > w[i]:
+            bits |= 2 << i
+    return bits
+
+
+def _nub(w: Word) -> int:
+    seen = bits = 0
     for i, v in enumerate(w, start=1):
-        if v not in first:
-            first[v] = i
-    return frozenset(first.values())
+        if not seen >> v & 1:
+            seen |= 1 << v
+            bits |= 1 << i
+    return bits
 
 
 def _is_cayley(w: Word) -> bool:
@@ -207,7 +229,8 @@ class StatSets(NamedTuple):
 def stat_sets(x: Iterable[int]) -> StatSets:
     """Compute all four statistic sets in one go."""
     w = check_word(x)
-    return StatSets(_ascent_tops(w), _ascent_bottoms(w), _descent_tops(w), _descent_bottoms(w))
+    return StatSets(*(frozenset(_positions(stat(w)))
+                      for stat in (_ascent_tops, _ascent_bottoms, _descent_tops, _descent_bottoms)))
 
 
 def nub(x: Iterable[int]) -> frozenset[int]:
@@ -216,7 +239,7 @@ def nub(x: Iterable[int]) -> frozenset[int]:
     >>> sorted(nub((2, 1, 2)))
     [1, 2]
     """
-    return _nub(check_word(x))
+    return frozenset(_positions(_nub(check_word(x))))
 
 
 def is_cayley(x: Iterable[int]) -> bool:

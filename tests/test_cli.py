@@ -284,6 +284,40 @@ def test_count_cap_violation(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("method", ["tree", "oracle"])
+def test_count_caps_tree_and_oracle_at_the_gf_order(capsys, method):
+    assert run(capsys, "count", "--method", method, "--n-max", "65") == (
+        1, "", "rascent count: length 65 exceeds cap 64\n")
+    code, out, _ = run(capsys, "count", "--method", method, "--n-max", "64")
+    assert code == 0 and out.startswith("n=1  ") and f"n=64  {method}=" in out
+
+
+def test_cap_override_raises_the_tree_and_oracle_cap(capsys):
+    code, out, _ = run(capsys, "count", "--method", "tree,oracle", "--n-max", "66", "--cap-override", "66")
+    assert code == 0
+    assert out.splitlines()[-1].startswith("n=66  tree=") and out.endswith("  ok\n")
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES + ("all",))
+def test_verify_refuses_sizes_beyond_the_length_cap(monkeypatch, capsys, suite):
+    # the suites enumerate up to n_max + 1, so 14 is refused before any suite runs
+    def never(name, n_max):
+        raise AssertionError(f"suite {name} ran")
+
+    monkeypatch.setattr(verify, "run_suite", never)
+    assert run(capsys, "verify", "--suite", suite, "--n-max", "14") == (
+        1, "", "rascent verify: length 15 exceeds cap 14\n")
+
+
+@pytest.mark.parametrize("n_max", ["14", "100"])
+def test_verify_refusal_is_immediate(n_max):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-m", "rascent.cli", "verify", "--suite", "all", "--n-max", n_max],
+                          capture_output=True, env=env, timeout=30)
+    assert (done.returncode, done.stdout) == (1, b"")
+    assert done.stderr == f"rascent verify: length {int(n_max) + 1} exceeds cap 14\n".encode()
+
+
 def test_verify_suite_passes(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "series", "--n-max", "5")
     assert code == 0

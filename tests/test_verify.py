@@ -1,5 +1,7 @@
 """The invariant suites themselves."""
 
+import tracemalloc
+
 import pytest
 
 import rascent.maps as maps
@@ -59,14 +61,40 @@ def _verdict(suite, name, n_max):
     return next(c for c in run_suite(suite, n_max) if c.name == name)
 
 
-@pytest.mark.parametrize("fault", ["identity-complement", "swapped-descent-statistics"])
+@pytest.mark.parametrize("fault", ["identity-complement", "swapped-descent-statistics",
+                                   "swapped-ascent-statistics"])
 def test_statistics_check_still_fails_on_a_fault(monkeypatch, fault):
     if fault == "identity-complement":
         monkeypatch.setattr(maps, "complement", lambda x: tuple(x))
-    else:
+    elif fault == "swapped-descent-statistics":
         monkeypatch.setattr(verify, "_descent_bottoms", verify._descent_tops)
+    else:
+        monkeypatch.setattr(verify, "_ascent_bottoms", verify._ascent_tops)
     check = _verdict("addrom", "complement-swaps-statistics", 4)
-    assert not check.passed and check.counterexample
+    assert not check.passed and check.counterexample == "12"
+
+
+def test_statistics_sweep_holds_no_word_list():
+    tracemalloc.start()
+    try:
+        assert all(c.passed for c in run_suite("addrom", 7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a list of the 47,293 Cayley words of length 7 alone peaks near 5.6 MB
+    assert peak < 2_000_000
+
+
+def test_statistics_sweep_streams_the_cayley_words(monkeypatch):
+    real, families = words.enumerate_family, []
+
+    def recorded(n, family, *args, **kwargs):
+        families.append(family)
+        return real(n, family, *args, **kwargs)
+
+    monkeypatch.setattr(words, "enumerate_family", recorded)
+    assert all(c.passed for c in run_suite("addrom", 7))
+    assert families and words.Family.CAYLEY not in families
 
 
 def test_monotonicity_check_still_fails_on_a_wrong_pattern_test(monkeypatch):

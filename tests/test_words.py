@@ -50,6 +50,27 @@ def test_statistic_sets_position_one_always_in():
         assert 1 in s.destop and 1 in s.desbot
 
 
+def _assert_statistics_are_naive(w):
+    # the bit-set cores, through every public form, against the naive positions
+    naive = (reference.ascent_top_positions(w), reference.ascent_bottom_positions(w),
+             reference.descent_top_positions(w), reference.descent_bottom_positions(w))
+    public = (ascent_tops(w), ascent_bottoms(w), descent_tops(w), descent_bottoms(w))
+    assert public == tuple(stat_sets(w)) == naive, w
+    assert nub(w) == reference.leftmost_positions(w), w
+    assert all(type(s) is frozenset for s in (*public, *stat_sets(w), nub(w)))
+
+
+def test_statistics_match_the_naive_positions_on_every_cayley_word():
+    for n in range(1, 8):
+        for w in enumerate_family(n, Family.CAYLEY):
+            _assert_statistics_are_naive(w)
+
+
+@given(st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=12))
+def test_statistics_match_the_naive_positions(values):
+    _assert_statistics_are_naive(tuple(values))
+
+
 def test_ascent_bottoms_second_worked_word():
     assert ascent_bottoms((1, 2, 2, 1, 3, 2, 4, 5)) == {1, 4, 6, 7}
 
