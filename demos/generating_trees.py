@@ -36,9 +36,10 @@ print(" ", totals)
 print("  matches series:", tuple(totals) == expand_gf("fishburn", 12))
 print()
 
-# The 123-avoiding subtree runs on labels (maximum, last entry), and
-# its rule leans on a structural fact: once the last entry exceeds 1
-# it must equal the maximum.  The label distribution stays thin.
+# The 123-avoiding subtree runs on labels (g, last entry), g the
+# smallest value that ends a strict rise, and its rule leans on a
+# structural fact: once the last entry exceeds 1 it equals g (323122
+# has maximum 3 and label (2, 2)).  The label distribution stays thin.
 print("children of (2,1) in the 123 tree:", rule_children_123((2, 1)))
 print("children of (2,2) in the 123 tree:", rule_children_123((2, 2)))
 counts = label_counts(Rule.AVOID123, 6)

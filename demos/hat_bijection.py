@@ -55,9 +55,9 @@ for n in range(1, 8):
     print(f"length {n} -> {n + 1}: {len(source)} words, images {status}")
 print()
 
-# A second, sparser bijection: subtract one from each entry above 1,
-# drop the first.  It carries 211-avoiding revised words onto
-# 122-avoiding modified ones.
+# A second, sparser bijection: raise every entry by one, wrap the new
+# top value around to 1, drop the last entry.  It carries 211-avoiding
+# revised words onto 122-avoiding modified ones.
 v = parse_word("6463612656")
 print(f"shift and trim {format_word(v)} -> {format_word(shift_trim(v))}")
 for n in range(2, 8):

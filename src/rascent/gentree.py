@@ -15,8 +15,8 @@ import enum
 from typing import Iterable, NamedTuple
 
 # Loaded on first use, maybe while a tracer (perfbench/layers.py) has
-# wrapped functions of other modules: so other modules' functions are
-# called through their module, and none is bound at import.
+# wrapped public functions of other modules: so those are called through
+# their module; private functions, classes and constants may be bound.
 from . import maps as _maps, patterns as _patterns, words as _words
 from .words import DEFAULT_CAP, CapExceededError, Family, Word
 
@@ -44,9 +44,12 @@ def rule_children(label: Label) -> list[Label]:
     m, last = label
     if m < 1 or not 1 <= last <= m + 1:
         raise ValueError(f"label out of range: {label}")
-    kept = [(m, i) for i in range(1, last + 1)]
-    raised = [(m + 1, i) for i in range(last + 1, m + 2)]
-    return kept + raised
+    return _rule_children(label)
+
+
+def _rule_children(label: Label) -> list[Label]:
+    m, last = label
+    return [(m, i) for i in range(1, last + 1)] + [(m + 1, i) for i in range(last + 1, m + 2)]
 
 
 def rule_children_123(label: Label) -> list[Label]:
@@ -68,13 +71,19 @@ def rule_children_123(label: Label) -> list[Label]:
         raise ValueError(f"label out of range: {label}")
     if last >= 2 and g != last:
         raise ValueError(f"unreachable label for the 123 subtree: {label}")
+    return _rule_children_123(label)
+
+
+def _rule_children_123(label: Label) -> list[Label]:
+    # unchecked: the label DP carries an unreachable label on to its check
+    g, last = label
     bonus = 1 if last == 1 else 0
     return [(g, 1)] + [(i, i) for i in range(2, g + bonus + 1)]
 
 
 _RULE_CHILDREN = {
-    Rule.FULL: rule_children,
-    Rule.AVOID123: rule_children_123,
+    Rule.FULL: _rule_children,
+    Rule.AVOID123: _rule_children_123,
 }
 
 ROOT_LABEL: Label = (1, 1)

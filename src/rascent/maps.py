@@ -13,8 +13,8 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 # Loaded on first use, maybe while a tracer (perfbench/layers.py) has
-# wrapped functions of other modules: so other modules' functions are
-# called through their module, and none is bound at import.
+# wrapped public functions of other modules: so those are called through
+# their module; private functions, classes and constants may be bound.
 from . import patterns as _patterns, words as _words
 from .words import Family, Word
 

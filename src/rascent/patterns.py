@@ -29,8 +29,9 @@ the naive oracle and the search it drives against the core.
 from __future__ import annotations
 
 import math
+import re
 from functools import lru_cache
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .words import (
     DEFAULT_CAP,
@@ -340,81 +341,48 @@ def max_prefix_equivalent(pattern: Iterable[int], n_max: int,
 
 
 # ---------------------------------------------------------------------------
-# Shape validators for the five structurally solved avoidance families.
-# Each checks the shape alone; intersected with the revised ascent
-# sequences of length n it carves out exactly the avoiders of the
-# corresponding pattern.
+# The five structurally solved avoidance classes, each as its shape: a
+# revised ascent sequence fits the shape exactly when it avoids the
+# pattern.  In the shapes m is the first entry, k* is a run of k's and k+
+# a nonempty one; 312 and 321 are regular expressions over the entries,
+# one character each.
+
+def _fits(x: Word, shape: Callable[[int], str]) -> bool:
+    # every shape holds each of 1..m: a word whose first entry is not its
+    # maximum or exceeds its length fits none, and builds no expression
+    m = x[0]
+    if m != max(x) or m > len(x):
+        return False
+    return re.fullmatch(shape(m), "".join(map(_c, x))) is not None
+
+
+def _c(v: int) -> str:
+    return chr(v + 0x100)  # entry v as a character past 0xff, none of them special
+
 
 def _form_221(x: Word) -> bool:
     # m 1 2 ... (m-1) m^(n-m)
     m = x[0]
-    expected = (m,) + tuple(range(1, m)) + (m,) * (len(x) - m)
-    return len(x) >= m and x == expected
+    return m <= len(x) and x == (m, *range(1, m)) + (m,) * (len(x) - m)
 
 
 def _form_312(x: Word) -> bool:
-    # m^a (m-1) m^a' (m-1)^b (m-2) m^a'' (m-2)^b' ... 1 m^a* 1^b*
-    m = x[0]
-    if m == 1:
-        return all(v == 1 for v in x)
-    i, n = 0, len(x)
-    while i < n and x[i] == m:
-        i += 1
-    if i == 0:
-        return False
-    for k in range(m - 1, 0, -1):
-        if i >= n or x[i] != k:
-            return False
-        i += 1
-        j = i
-        while i < n and x[i] == m:
-            i += 1
-        if i == j:  # at least one m after each descent step
-            return False
-        while i < n and x[i] == k:
-            i += 1
-    return i == n
+    # m+ (m-1) m+ (m-1)* (m-2) m+ (m-2)* ... 1 m+ 1*
+    return _fits(x, lambda m: _c(m) + "+" + "".join(f"{_c(k)}{_c(m)}+{_c(k)}*" for k in range(m - 1, 0, -1)))
 
 
 def _form_321(x: Word) -> bool:
-    # m^c 1 m^* 2 m^* ... (m-2) m^* (m-1) m^+ (m-1)^*
-    m = x[0]
-    if m == 1:
-        return all(v == 1 for v in x)
-    i, n = 0, len(x)
-    while i < n and x[i] == m:
-        i += 1
-    if i == 0:
-        return False
-    for k in range(1, m - 1):
-        if i >= n or x[i] != k:
-            return False
-        i += 1
-        while i < n and x[i] == m:
-            i += 1
-    if i >= n or x[i] != m - 1:
-        return False
-    i += 1
-    j = i
-    while i < n and x[i] == m:
-        i += 1
-    if i == j:  # the final maximum run may not be empty
-        return False
-    while i < n and x[i] == m - 1:
-        i += 1
-    return i == n
+    # m+ 1 m* 2 m* ... (m-2) m* (m-1) m+ (m-1)*, and 1+ for m = 1
+    return _fits(x, lambda m: _c(m) + "+" + "".join(f"{_c(k)}{_c(m)}*" for k in range(1, m - 1))
+                 + (f"{_c(m - 1)}{_c(m)}+{_c(m - 1)}*" if m > 1 else ""))
 
 
 def _form_122(x: Word) -> bool:
     # a1^(b+1) then for a1 > a2 > ... > a_i = 1: ascending run a_{j+1}..a_j
     # followed by a_{j+1}^*; the word ends once level 1 is reached.
-    m = x[0]
-    if m == 1:
-        return all(v == 1 for v in x)
-    i, n = 0, len(x)
-    while i < n and x[i] == m:
+    i, n, cur = 0, len(x), x[0]
+    while i < n and x[i] == cur:
         i += 1
-    cur = m
     while cur > 1:
         if i >= n or x[i] >= cur:
             return False
@@ -430,27 +398,12 @@ def _form_122(x: Word) -> bool:
 
 
 def _form_211(x: Word) -> bool:
-    # m B1 m B2 ... m Bk m with strictly increasing blocks below m that
-    # together use each of 1..m-1 exactly once.
+    # m B1 m B2 ... m Bk m: the last entry is m, the entries below m are
+    # 1..m-1, each once, and between two m's they rise
     m = x[0]
-    n = len(x)
-    if m == 1:
-        return all(v == 1 for v in x)
-    if x[-1] != m:
-        return False
-    seen: set[int] = set()
-    prev_small: Optional[int] = None
-    for v in x:
-        if v == m:
-            prev_small = None
-            continue
-        if v > m or v in seen:
-            return False
-        if prev_small is not None and v <= prev_small:
-            return False
-        seen.add(v)
-        prev_small = v
-    return seen == set(range(1, m))
+    below = sorted(v for v in x if v != m)
+    return (x[-1] == m and len(below) == m - 1 and below == [*range(1, m)]
+            and all(a < b for a, b in zip(x, x[1:]) if m not in (a, b)))
 
 
 _FORM_CHECKS = {

@@ -21,8 +21,8 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 # Loaded on first use, maybe while a tracer (perfbench/layers.py) has
-# wrapped functions of other modules: so other modules' functions are
-# called through their module, and none is bound at import.
+# wrapped public functions of other modules: so those are called through
+# their module; private functions, classes and constants may be bound.
 from . import SUITE_NAMES
 from . import gentree as _gentree, maps as _maps, oracle as _oracle, patterns as _patterns, words as _words
 from .gentree import _RULE_CHILDREN, Rule

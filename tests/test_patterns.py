@@ -1,5 +1,6 @@
 """Occurrence counting, avoidance, normal forms, Wilf grouping."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -168,6 +169,35 @@ def test_forms_cover_exactly_the_avoider_sets():
         for n in range(2, 9):
             shaped = {w for w in family_members(n, Family.REVISED) if matches_form(w, name)}
             assert shaped == set(avoider_words(n, pattern))
+
+
+# matches_form takes any word: on every word of length <= 6 over 1..6,
+# members or not, each form accepts this many words, with this SHA-256 of
+# repr() of their sorted list.
+_FORM_VERDICTS = {
+    "122": (32, "9d3f12b9470662f4affc603348b3f732548f8b473a7fa2e0c9e435dbb3b1cbe5"),
+    "211": (40, "1acc5f9ac4cbec590de040f166d3e0b9c3d1f91aa33a86a07779fee2a6a85864"),
+    "221": (21, "4f92578e628c83d64eb5de0b3839e9030ece916f23e74c8f6600660bdd10cf54"),
+    "312": (32, "e8f6a3c9c2cd57dc9e67e35042c6ce25c496598f3c2887622ed44f5e986a1179"),
+    "321": (48, "28b16c21781253e47c83b32ba4cabfec46223aadd84bdb78da097e82094f6ff5"),
+}
+
+
+def test_forms_judge_every_small_word_as_pinned():
+    words = [w for n in range(1, 7) for w in itertools.product(range(1, 7), repeat=n)]
+    assert len(words) == 55_986
+    assert set(_FORM_VERDICTS) == set(FORM_NAMES)
+    for name, (count, digest) in _FORM_VERDICTS.items():
+        accepted = sorted(w for w in words if matches_form(w, name))
+        assert (len(accepted), hashlib.sha256(repr(accepted).encode()).hexdigest()) == (count, digest), name
+
+
+@pytest.mark.parametrize("name", FORM_NAMES)
+def test_forms_reject_an_oversized_first_entry_at_once(name):
+    # each form holds every value 1..m below its first entry m, so a
+    # first entry above the length or below a later entry fits none
+    for w in [(10**9, 1), (10**9,) * 3, (2, 1, 3, 2, 2), (1, 10**9)]:
+        assert matches_form(w, name) is False
 
 
 def test_equal_avoider_sets_for_proved_pairs():

@@ -8,6 +8,7 @@ import rascent.maps as maps
 import rascent.patterns as patterns
 import rascent.verify as verify
 import rascent.words as words
+from rascent.gentree import _RULE_CHILDREN, Rule
 from rascent.patterns import count_avoiders
 from rascent.verify import SUITE_NAMES, run_suite
 
@@ -149,3 +150,14 @@ def test_eta_sweep_validates_no_word(monkeypatch):
     monkeypatch.setattr(patterns, "check_word", counted)
     assert all(c.passed for c in run_suite("eta", 6))
     assert calls == []
+
+
+def test_label_invariant_reports_a_faulty_123_rule(monkeypatch):
+    # a 123 rule that gives the root a child (2, 3), whose last entry is
+    # not its smallest rise top: the label DP must carry it on to the
+    # check rather than stop on it
+    core = _RULE_CHILDREN[Rule.AVOID123]
+    monkeypatch.setitem(_RULE_CHILDREN, Rule.AVOID123,
+                        lambda label: core(label) + [(2, 3)] if label == (1, 1) else core(label))
+    check = _verdict("gentree", "avoid123-label-invariant", 4)
+    assert not check.passed and check.counterexample == "label (2,3) at level 2"
