@@ -14,11 +14,12 @@ deterministic: identical arguments give identical bytes.  Plain lines
 are meant for people, JSONL for machines; CSV is offered where the
 output is a table.
 
-Results leave as soon as they exist: `enumerate` writes each word as
-the search reaches it, `verify` writes each suite's records when that
-suite ends, and `count` writes each length once it is counted; `gf` and
-`wilf` print when they are done.  A line once written stays written
-after a later failure or interrupt.
+Results leave as soon as they exist: `enumerate` writes the
+completions of each prefix in one block as the search reaches it,
+`verify` writes each suite's records when that suite ends, and `count`
+writes each length once it is counted; `gf` and `wilf` print when they
+are done.  A line once written stays written after a later failure or
+interrupt.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import argparse
 import io
 import os
+import re
 import sys
 from typing import Iterable
 
@@ -34,6 +36,8 @@ from typing import Iterable
 # the generating trees or the verification suites.
 from . import GF_NAMES, SUITE_NAMES
 from .words import (
+    _DIGITS,
+    BlockLeaf,
     CapExceededError,
     DEFAULT_CAP,
     Family,
@@ -119,22 +123,51 @@ def _cmd_enumerate(args: argparse.Namespace, out) -> int:
     cap = _cap(args)
     if n > cap:  # before the csv header, so a refused run writes nothing
         raise CapExceededError(f"length {n} exceeds cap {cap}")
-    # each word is written unchecked from the search's leaf, so the first
-    # line goes out long before the search ends and no list is ever built
+    # each line is before + word + after, written unchecked from the
+    # search's leaf, so the first line goes out long before the search
+    # ends; the search keeps no more than the completions of its last
+    # three levels
     if args.format == "jsonl":
-        import json
-
-        def leaf(entries: list[int]) -> None:
-            out.write(json.dumps({"n": n, "word": _format_word(entries)}) + "\n")
+        before, after = '{"n": %d, "word": "' % n, '"}\n'  # as json.dumps writes it
     elif args.format == "csv":
         out.write("n,word\n")
-
-        def leaf(entries: list[int]) -> None:
-            out.write(f"{n},{_format_word(entries)}\n")
+        before, after = f"{n},", "\n"
     else:
-        def leaf(entries: list[int]) -> None:
-            out.write(_format_word(entries) + "\n")
-    search_family(n, family, leaf, accept=accept, cap=cap)
+        before, after = "", "\n"
+
+    def leaf(entries: list[int]) -> None:
+        out.write(before + _format_word(entries) + after)
+
+    b_before, b_after = before.encode(), after.encode()
+
+    def block(entries: list[int], tails: list[bytes]) -> None:
+        # every completion of one prefix in one write.  Entries are never
+        # 0, so byte 0 separates the tails and its digit "0" marks where
+        # each line ends and the next begins.
+        if not tails:
+            return
+        prefix = bytes(entries).translate(_DIGITS)
+        if b"," in prefix:  # every word here has an entry of 10 or more
+            for tail in tails:
+                leaf(entries + list(tail))
+            return
+        body = b"\0".join(tails).translate(_DIGITS)
+        if b"," in body:
+            # only the words with an entry of 10 or more are written
+            # with commas, found and rewritten one by one
+            lines = (prefix + body.replace(b"0", b"0" + prefix)).split(b"0")
+            i = pos = 0
+            for m in re.finditer(rb"[^0]*,[^0]*", body):  # each line with a comma
+                i += body.count(b"0", pos, m.start())
+                pos = m.start()
+                lines[i] = _format_word(entries + list(tails[i])).encode()
+            text = b_before + (b_after + b_before).join(lines) + b_after
+        else:
+            head = b_before + prefix
+            text = head + body.replace(b"0", b_after + head) + b_after
+        out.write(text.decode())
+
+    search_family(n, family, BlockLeaf(leaf, block), accept=accept, cap=cap)
     return 0
 
 

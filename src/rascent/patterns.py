@@ -345,19 +345,20 @@ def max_prefix_equivalent(pattern: Iterable[int], n_max: int,
 # revised ascent sequence fits the shape exactly when it avoids the
 # pattern.  In the shapes m is the first entry, k* is a run of k's and k+
 # a nonempty one; 312 and 321 are regular expressions over the entries,
-# one character each.
+# each written as its digits and a comma.
 
 def _fits(x: Word, shape: Callable[[int], str]) -> bool:
-    # every shape holds each of 1..m: a word whose first entry is not its
-    # maximum or exceeds its length fits none, and builds no expression
+    # every shape holds each of 1..m and nothing else: a word whose first
+    # entry is not its maximum or that misses a value below it fits none,
+    # and builds no expression
     m = x[0]
-    if m != max(x) or m > len(x):
+    if m != max(x) or len(set(x)) != m:
         return False
-    return re.fullmatch(shape(m), "".join(map(_c, x))) is not None
+    return re.fullmatch(shape(m), "".join(f"{v}," for v in x)) is not None
 
 
-def _c(v: int) -> str:
-    return chr(v + 0x100)  # entry v as a character past 0xff, none of them special
+def _c(v: int, times: str = "") -> str:
+    return f"(?:{v},){times}"  # entry v, repeated as times says
 
 
 def _form_221(x: Word) -> bool:
@@ -368,13 +369,13 @@ def _form_221(x: Word) -> bool:
 
 def _form_312(x: Word) -> bool:
     # m+ (m-1) m+ (m-1)* (m-2) m+ (m-2)* ... 1 m+ 1*
-    return _fits(x, lambda m: _c(m) + "+" + "".join(f"{_c(k)}{_c(m)}+{_c(k)}*" for k in range(m - 1, 0, -1)))
+    return _fits(x, lambda m: _c(m, "+") + "".join(_c(k) + _c(m, "+") + _c(k, "*") for k in range(m - 1, 0, -1)))
 
 
 def _form_321(x: Word) -> bool:
     # m+ 1 m* 2 m* ... (m-2) m* (m-1) m+ (m-1)*, and 1+ for m = 1
-    return _fits(x, lambda m: _c(m) + "+" + "".join(f"{_c(k)}{_c(m)}*" for k in range(1, m - 1))
-                 + (f"{_c(m - 1)}{_c(m)}+{_c(m - 1)}*" if m > 1 else ""))
+    return _fits(x, lambda m: _c(m, "+") + "".join(_c(k) + _c(m, "*") for k in range(1, m - 1))
+                 + (_c(m - 1) + _c(m, "+") + _c(m - 1, "*") if m > 1 else ""))
 
 
 def _form_122(x: Word) -> bool:

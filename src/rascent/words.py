@@ -314,6 +314,17 @@ def is_member(x: Iterable[int], family: Family) -> bool:
 # its update step, which patterns.frontier derives from the pattern;
 # the search then clears forbid from the candidates instead of calling
 # the veto.  Any other accept leaves forbid at 0 and is called as before.
+#
+# So every completion below a node depends only on the node's state.
+# When the leaf is a BlockLeaf and there is no accept (or only a
+# FrontierVeto), a node with rest < _BLOCK_DEPTH whose values all fit in
+# a byte (maxv + rest + 1 <= 255) hands its prefix and the list of its
+# completions to the leaf's block in one call.  tails builds that list
+# once per distinct state, keyed by (rest, maxv, seen, fresh, last,
+# forbid), or by (rest, atop, last) for unfiltered ASCENT, whose
+# candidates read nothing else; equal tails share one bytes object, and
+# both dicts live only as long as one search.  Any other leaf or accept
+# takes every word one at a time.
 
 AcceptFn = Callable[[list[int], int], bool]
 StepFn = Callable[[int, int, int], int]
@@ -339,12 +350,36 @@ class FrontierVeto:
         return self.veto(entries, v)
 
 
+class BlockLeaf:
+    """A leaf that can also take every completion of a prefix at once.
+
+    Called with (entries) it is a plain leaf.  block(prefix, tails)
+    receives the scratch entry list of a prefix and the list of its
+    completions, each as bytes with entry v stored as byte v, in
+    lexicographic order; the list may be empty.  The search hands a
+    BlockLeaf whole subtrees where it can, and calls it per word where
+    it cannot.
+    """
+
+    __slots__ = ("leaf", "block")
+
+    def __init__(self, leaf: Callable[[list[int]], None],
+                 block: Callable[[list[int], list[bytes]], None]) -> None:
+        self.leaf, self.block = leaf, block
+
+    def __call__(self, entries: list[int]) -> None:
+        self.leaf(entries)
+
+
 # A rule mode is two flags: _DESC when a leftmost occurrence sits next
 # to a larger entry, _DEFERRED when the rule looks at the entry after it.
 _DESC = 1
 _DEFERRED = 2
 _CAYLEY = 4
 _ATOP = 8  # ASCENT: at most one more than the ascent tops so far
+
+# A BlockLeaf takes the completions of the last three levels in one block.
+_BLOCK_DEPTH = 3
 
 _MODE = {
     Family.ASCENT: _ATOP,
@@ -427,7 +462,8 @@ def search_family(n: int, family: Family, leaf: Callable[[list[int]], None],
     that some member of length n extends: the family rule and the
     exact completion bound (see above) are applied first.  A
     FrontierVeto is not called: the search tests its frontier instead,
-    which refuses exactly what the veto refuses.
+    which refuses exactly what the veto refuses.  A BlockLeaf may be
+    handed each prefix's completions in one block (see above).
     """
     mode = _MODE.get(family)
     if mode is None:
@@ -441,10 +477,24 @@ def search_family(n: int, family: Family, leaf: Callable[[list[int]], None],
     if isinstance(accept, FrontierVeto):
         accept, forbid, step = None, accept.init, accept.step
     entries: list[int] = []
+    depth = _BLOCK_DEPTH if isinstance(leaf, BlockLeaf) and accept is None else 0
+    memo: dict[tuple, list[bytes]] = {}
+    share: dict[bytes, bytes] = {}  # one object for each distinct tail
+    # unfiltered ASCENT's candidates read only rest, atop and last
+    whole_key = mode != _ATOP or step is not None
 
+    # rec and tails build the same child state, each inline: a shared
+    # helper would cost a call per node
     def rec(maxv: int, seen: int, fresh: bool, last: int, forbid: int) -> None:
         p = len(entries) + 1
         rest = n - p
+        if rest < depth and maxv + rest < 255:
+            key = (rest, maxv, seen, fresh, last, forbid) if whole_key else (rest, maxv, last)
+            got = memo.get(key)
+            if got is None:
+                got = memo[key] = [share.setdefault(t, t) for t in tails(rest, maxv, seen, fresh, last, forbid)]
+            leaf.block(entries, got)
+            return
         cand = _candidates(mode, rest, p, maxv, seen, fresh, last) & ~forbid
         while cand:
             bit = cand & -cand
@@ -459,6 +509,22 @@ def search_family(n: int, family: Family, leaf: Callable[[list[int]], None],
             else:
                 leaf(entries)
             entries.pop()
+
+    def tails(rest: int, maxv: int, seen: int, fresh: bool, last: int, forbid: int) -> list[bytes]:
+        got = []
+        cand = _candidates(mode, rest, n - rest, maxv, seen, fresh, last) & ~forbid
+        while cand:
+            bit = cand & -cand
+            cand ^= bit
+            v = bit.bit_length() - 1
+            head = bytes((v,))
+            if rest:
+                got += [head + t for t in tails(
+                    rest - 1, maxv + (v > last) if mode == _ATOP else v if v > maxv else maxv,
+                    seen | bit, not seen & bit, v, step(forbid, seen, v) if step else forbid)]
+            else:
+                got.append(head)
+        return got
 
     rec(0, 0, False, 0, forbid)
 

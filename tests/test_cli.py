@@ -1,12 +1,14 @@
 """Command-line behavior: output shapes, formats, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
 import signal
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,7 @@ import rascent.patterns as patterns
 import rascent.verify as verify
 from rascent import SUITE_NAMES
 from rascent.cli import main
+from rascent.words import BlockLeaf, Family, enumerate_family, format_word
 
 ETA_CHECKS = ("one-step-recursion", "max-counts-ascent-tops", "bijection-onto-next-length",
               "equals-relabel-of-padded-word", "inverse-round-trip", "counts-match-fishburn")
@@ -75,6 +78,126 @@ def test_enumerate_streams_from_the_search(monkeypatch, extra):
     monkeypatch.setattr(sys, "stdout", Stdout())
     assert main(["enumerate", "--n", "8", *extra]) == 0
     assert state["first_write_after_search"] is False
+
+
+_PARSER = cli._build_parser()
+
+
+def enumerate_with(monkeypatch, argv, wrap):
+    """The output of enumerate when its search is handed wrap(leaf) in
+    place of the command's own leaf."""
+    real, out = cli.search_family, io.StringIO()
+
+    def search_family(n, family, leaf, *args, **kwargs):
+        real(n, family, wrap(leaf), *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "search_family", search_family)
+        assert cli._cmd_enumerate(_PARSER.parse_args(argv), out) == 0
+    return out.getvalue()
+
+
+def per_word(counter):
+    """Wraps the leaf in a plain function, as the benchmark's tracer does,
+    so the search calls it once per word; counter[0] counts the calls."""
+    def wrap(leaf):
+        def plain(entries):
+            counter[0] += 1
+            leaf(entries)
+        return plain
+    return wrap
+
+
+def by_blocks(empty):
+    """Keeps the block path; empty[0] counts the blocks with no completion."""
+    def wrap(leaf):
+        assert isinstance(leaf, BlockLeaf)
+
+        def block(entries, tails):
+            empty[0] += not tails
+            leaf.block(entries, tails)
+        return BlockLeaf(leaf.leaf, block)
+    return wrap
+
+
+# no pattern, the 17 patterns of length <= 3 (each a FrontierVeto) and
+# 2121 (a plain accept)
+_GRID_PATTERNS = (None, *(format_word(p) for k in (1, 2, 3) for p in enumerate_family(k, Family.CAYLEY)), "2121")
+
+
+def test_blocks_write_what_the_per_word_search_writes(monkeypatch):
+    # each format is checked against the per-word search's words; a JSON
+    # line is built from a template, which is what json.dumps writes for
+    # a word of digits and commas
+    assert len(_GRID_PATTERNS) == 19
+    assert json.dumps({"n": 7, "word": "1,10"}) == '{"n": 7, "word": "1,10"}'
+    empty = [0]
+    for family in Family:
+        for pattern in _GRID_PATTERNS:
+            avoid = ("--avoid", pattern) if pattern else ()
+            for n in range(1, 8):
+                argv = ("enumerate", "--family", family.value, "--n", str(n), *avoid)
+                words = enumerate_with(monkeypatch, argv, per_word([0])).splitlines()
+                want = {"plain": "".join(f"{w}\n" for w in words),
+                        "csv": "n,word\n" + "".join(f"{n},{w}\n" for w in words),
+                        "jsonl": "".join(f'{{"n": {n}, "word": "{w}"}}\n' for w in words)}
+                for fmt, text in want.items():
+                    assert enumerate_with(monkeypatch, (*argv, "--format", fmt), by_blocks(empty)) == text, argv
+    assert empty[0] > 0  # some node under a pattern had no completion
+
+
+# SHA-256 of the output of enumerate --family asc --n 11 as the per-word
+# search writes it; its words with an entry of 10 or more have commas
+_ASC_11_DIGESTS = {
+    "plain": "44bf09a1c94273309f1f16b49fcae409cd59d1a63e1e51d7b7096749217ddee8",
+    "csv": "fe6c89bdd34bdd3dc4212c5ea9981f75ebe10fb2c0c5d0ae6ab917435f8c469c",
+    "jsonl": "7b2056b3804fc3ecb1e22e92ff4050b27b1749aa13ed88a726572995970cb096",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(_ASC_11_DIGESTS))
+def test_blocks_write_entries_of_ten_or_more_with_commas(monkeypatch, capsys, fmt):
+    code, out, _ = run(capsys, "enumerate", "--family", "asc", "--n", "11", "--format", fmt)
+    assert code == 0 and out.count("\n") == 1_422_074 + (fmt == "csv")
+    assert out.endswith("1,2,3,4,5,6,7,8,9,10,11" + ('"}' if fmt == "jsonl" else "") + "\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == _ASC_11_DIGESTS[fmt]
+    argv = ("enumerate", "--family", "rasc", "--n", "12", "--avoid", "111", "--format", fmt)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and ",10," in out
+    assert out == enumerate_with(monkeypatch, argv, per_word([0]))
+
+
+@pytest.mark.parametrize("family, shift", [
+    (Family.ASCENT, 0), (Family.REVISED, 1), (Family.DESTOP, 1), (Family.MODIFIED, 0), (Family.DESBOT, 0),
+])
+def test_a_wrapped_leaf_is_called_once_per_word(monkeypatch, capsys, family, shift):
+    # a plain function in place of the leaf takes the per-word path and
+    # writes the same bytes
+    argv = ("enumerate", "--family", family.value, "--n", "8")
+    words = [0]
+    assert enumerate_with(monkeypatch, argv, per_word(words)) == run(capsys, *argv)[1]
+    assert words[0] == ((1,) + oracle.fishburn(8))[8 - shift]
+
+
+def test_block_memory_stays_bounded(monkeypatch):
+    # the tails of the last three levels are kept per distinct state for
+    # one search, and none of the output is
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(io.BufferedWriter(_NullSink()), encoding="utf-8"))
+    tracemalloc.start()
+    try:
+        assert main(["enumerate", "--family", "cayley", "--n", "8"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+class _NullSink(io.RawIOBase):
+    def writable(self):
+        return True
+
+    def write(self, b):
+        return len(b)
 
 
 class FlushedStdout:

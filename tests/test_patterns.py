@@ -200,6 +200,23 @@ def test_forms_reject_an_oversized_first_entry_at_once(name):
         assert matches_form(w, name) is False
 
 
+@pytest.mark.parametrize("name", ["312", "321"])
+def test_forms_judge_a_word_with_an_entry_past_the_unicode_range(name):
+    # its first entry is its maximum and no larger than its length, so
+    # only its missing values keep it out of the shape
+    assert matches_form((1_200_000,) + (1,) * 1_199_999, name) is False
+
+
+def test_forms_match_entries_of_two_digits_as_whole_entries():
+    # 1 and 11 are different entries although "11" starts with "1"
+    m = 12
+    staircase = (m, *(e for k in range(m - 1, 0, -1) for e in (k, m)))
+    rise = (m, *range(1, m), m)
+    for w, fits, other in [(staircase, "312", "321"), (rise, "321", "312")]:
+        assert matches_form(w, fits) and not contains(w, tuple(map(int, fits)))
+        assert not matches_form(w, other) and contains(w, tuple(map(int, other)))
+
+
 def test_equal_avoider_sets_for_proved_pairs():
     for n in range(1, 9):
         assert avoider_words(n, (2, 3, 1)) == avoider_words(n, (3, 2, 1))
