@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import io
 import os
-import re
 import sys
 from typing import Iterable
 
@@ -147,20 +146,13 @@ def _cmd_enumerate(args: argparse.Namespace, out) -> int:
         if not tails:
             return
         prefix = bytes(entries).translate(_DIGITS)
-        if b"," in prefix:  # every word here has an entry of 10 or more
-            for tail in tails:
-                leaf(entries + list(tail))
-            return
         body = b"\0".join(tails).translate(_DIGITS)
-        if b"," in body:
-            # only the words with an entry of 10 or more are written
-            # with commas, found and rewritten one by one
+        if b"," in body or b"," in prefix:
+            # a word with an entry of 10 or more is written with commas
             lines = (prefix + body.replace(b"0", b"0" + prefix)).split(b"0")
-            i = pos = 0
-            for m in re.finditer(rb"[^0]*,[^0]*", body):  # each line with a comma
-                i += body.count(b"0", pos, m.start())
-                pos = m.start()
-                lines[i] = _format_word(entries + list(tails[i])).encode()
+            for i, line in enumerate(lines):
+                if b"," in line:
+                    lines[i] = _format_word(entries + list(tails[i])).encode()
             text = b_before + (b_after + b_before).join(lines) + b_after
         else:
             head = b_before + prefix

@@ -319,12 +319,14 @@ def is_member(x: Iterable[int], family: Family) -> bool:
 # When the leaf is a BlockLeaf and there is no accept (or only a
 # FrontierVeto), a node with rest < _BLOCK_DEPTH whose values all fit in
 # a byte (maxv + rest + 1 <= 255) hands its prefix and the list of its
-# completions to the leaf's block in one call.  tails builds that list
-# once per distinct state, keyed by (rest, maxv, seen, fresh, last,
-# forbid), or by (rest, atop, last) for unfiltered ASCENT, whose
-# candidates read nothing else; equal tails share one bytes object, and
-# both dicts live only as long as one search.  Any other leaf or accept
-# takes every word one at a time.
+# completions to the leaf's block in one call.  The list is built once
+# per distinct state, by the same walk with a leaf that collects each
+# word's tail, and keyed by the fields the mode reads: (rest, maxv,
+# seen, fresh, last, forbid) for REVISED and DESTOP, without fresh for
+# MODIFIED and DESBOT, without fresh and last for CAYLEY, and without
+# seen and fresh for unfiltered ASCENT.  Equal tails share one bytes
+# object, and both dicts live only as long as one search.  Any other
+# leaf or accept takes every word one at a time.
 
 AcceptFn = Callable[[list[int], int], bool]
 StepFn = Callable[[int, int, int], int]
@@ -480,19 +482,29 @@ def search_family(n: int, family: Family, leaf: Callable[[list[int]], None],
     depth = _BLOCK_DEPTH if isinstance(leaf, BlockLeaf) and accept is None else 0
     memo: dict[tuple, list[bytes]] = {}
     share: dict[bytes, bytes] = {}  # one object for each distinct tail
-    # unfiltered ASCENT's candidates read only rest, atop and last
-    whole_key = mode != _ATOP or step is not None
+    # the key holds only what the mode's candidates and child state read:
+    # unfiltered ASCENT never reads seen, CAYLEY never last, and only
+    # REVISED and DESTOP read fresh
+    keep_seen = mode != _ATOP or step is not None
+    keep_last = mode != _CAYLEY
+    keep_fresh = bool(mode & _DEFERRED)
 
-    # rec and tails build the same child state, each inline: a shared
-    # helper would cost a call per node
     def rec(maxv: int, seen: int, fresh: bool, last: int, forbid: int) -> None:
+        nonlocal leaf, depth
         p = len(entries) + 1
         rest = n - p
         if rest < depth and maxv + rest < 255:
-            key = (rest, maxv, seen, fresh, last, forbid) if whole_key else (rest, maxv, last)
+            key = (rest, maxv, keep_seen and seen, keep_fresh and fresh, keep_last and last, forbid)
             got = memo.get(key)
             if got is None:
-                got = memo[key] = [share.setdefault(t, t) for t in tails(rest, maxv, seen, fresh, last, forbid)]
+                # a miss lists the tails with the per-word walk below,
+                # its leaf collecting the entries past this prefix
+                found: list[bytes] = []
+                block_leaf, base = leaf, len(entries)
+                leaf, depth = lambda e: found.append(bytes(e[base:])), 0
+                rec(maxv, seen, fresh, last, forbid)
+                leaf, depth = block_leaf, _BLOCK_DEPTH
+                got = memo[key] = [share.setdefault(t, t) for t in found]
             leaf.block(entries, got)
             return
         cand = _candidates(mode, rest, p, maxv, seen, fresh, last) & ~forbid
@@ -509,22 +521,6 @@ def search_family(n: int, family: Family, leaf: Callable[[list[int]], None],
             else:
                 leaf(entries)
             entries.pop()
-
-    def tails(rest: int, maxv: int, seen: int, fresh: bool, last: int, forbid: int) -> list[bytes]:
-        got = []
-        cand = _candidates(mode, rest, n - rest, maxv, seen, fresh, last) & ~forbid
-        while cand:
-            bit = cand & -cand
-            cand ^= bit
-            v = bit.bit_length() - 1
-            head = bytes((v,))
-            if rest:
-                got += [head + t for t in tails(
-                    rest - 1, maxv + (v > last) if mode == _ATOP else v if v > maxv else maxv,
-                    seen | bit, not seen & bit, v, step(forbid, seen, v) if step else forbid)]
-            else:
-                got.append(head)
-        return got
 
     rec(0, 0, False, 0, forbid)
 

@@ -179,6 +179,25 @@ def test_a_wrapped_leaf_is_called_once_per_word(monkeypatch, capsys, family, shi
     assert words[0] == ((1,) + oracle.fishburn(8))[8 - shift]
 
 
+@pytest.mark.parametrize("family, states", [
+    (Family.ASCENT, 11), (Family.CAYLEY, 125), (Family.MODIFIED, 101),
+    (Family.REVISED, 99), (Family.DESTOP, 71), (Family.DESBOT, 183),
+])
+def test_blocks_are_listed_once_per_state_the_family_reads(monkeypatch, family, states):
+    # one list of tails for each distinct key at n = 8; keyed by the whole
+    # state (maximum, seen, fresh, last), ASCENT would list 20 and CAYLEY
+    # 724, as they never read seen and last respectively
+    lists = {}
+
+    def wrap(leaf):
+        def block(entries, tails):
+            lists[id(tails)] = tails
+            leaf.block(entries, tails)
+        return BlockLeaf(leaf.leaf, block)
+    enumerate_with(monkeypatch, ("enumerate", "--family", family.value, "--n", "8"), wrap)
+    assert len(lists) == states
+
+
 def test_block_memory_stays_bounded(monkeypatch):
     # the tails of the last three levels are kept per distinct state for
     # one search, and none of the output is
