@@ -10,7 +10,7 @@ from rascent import (
     count_avoiders,
     enumerate_family,
     format_word,
-    max_prefix_equivalent,
+    run_suite,
 )
 
 # Group every Cayley pattern of length up to 3 by its avoider-count
@@ -31,10 +31,12 @@ for profile, patterns in sorted(profiles.items(), reverse=True):
 print()
 
 # Two of the multi-member classes are theorems, not just data: 231/321
-# and 121/211 have identical avoider sets, and any pattern may have a
-# copy of its maximum glued to its front without changing its avoiders.
+# and 121/211 have identical avoider sets, and a pattern whose second
+# entry is its unique maximum may have a copy of that maximum glued to
+# its front without changing its avoiders.  The wilf suite checks this
+# prefix lemma on avoider sets, for these four patterns together.
+lemma = next(c for c in run_suite("wilf", n_max) if c.name == "prepending-the-maximum-is-neutral")
 for p in [(1, 2), (1, 2, 1), (2, 3, 1), (1, 3, 2)]:
     extended = (max(p),) + p
-    same = max_prefix_equivalent(p, 8)
     print(f"{format_word(p)} vs {format_word(extended)}: "
-          f"avoider sets agree to length 8: {same}")
+          f"avoider sets agree to length {n_max}: {lemma.passed}")

@@ -28,7 +28,7 @@ _PUBLIC = {
                 format_word is_ascent_sequence is_cayley is_member nub parse_word stat_sets""",
     "maps": "ReviseTrace add_entry complement remove_entry revise shift_trim standardize unrevise",
     "patterns": """FORM_NAMES PATTERN_CAP WilfClass WilfReport avoider_words avoids contains
-                   count_avoiders count_occurrences matches_form max_prefix_equivalent wilf_classes""",
+                   count_avoiders count_occurrences matches_form wilf_classes""",
     "gentree": """Rule expand_level label_counts level_totals rule_children rule_children_123
                   smallest_rise_top word_label""",
     "series": "PowerSeries",

@@ -40,6 +40,7 @@ from .words import (
     CapExceededError,
     DEFAULT_CAP,
     Family,
+    _check_length,
     _format_word,
     count_family,
     format_word,
@@ -120,8 +121,7 @@ def _cmd_enumerate(args: argparse.Namespace, out) -> int:
         from .patterns import avoid_filter
         accept = avoid_filter(_pattern(args.avoid))
     cap = _cap(args)
-    if n > cap:  # before the csv header, so a refused run writes nothing
-        raise CapExceededError(f"length {n} exceeds cap {cap}")
+    _check_length(n, cap)  # before the csv header, so a refused run writes nothing
     # each line is before + word + after, written unchecked from the
     # search's leaf, so the first line goes out long before the search
     # ends; the search keeps no more than the completions of its last
@@ -190,9 +190,11 @@ def _cmd_count(args: argparse.Namespace, out) -> int:
     if args.n_max < 1:
         raise _Usage("--n-max must be positive")
     cap = _cap(args)
-    # tree and oracle alone go as far as gf does; brute stops at the length cap
-    limit = cap if "brute" in methods else _cap(args, MAX_ORDER)
-    if args.n_max > limit:
+    # tree and oracle alone go as far as gf does; brute stops at the length
+    # cap and the search's depth limit
+    if "brute" in methods:
+        _check_length(args.n_max, cap)
+    elif args.n_max > (limit := _cap(args, MAX_ORDER)):
         raise CapExceededError(f"length {args.n_max} exceeds cap {limit}")
     # the whole column at once, after the cap check: a refused run expands nothing
     oracle = _oracle(pattern, args.n_max) if "oracle" in methods else None
@@ -251,8 +253,7 @@ def _cmd_verify(args: argparse.Namespace, out) -> int:
     if args.n_max < 1:
         raise _Usage("--n-max must be positive")
     # the suites enumerate up to length n_max + 1; refuse before any runs
-    if args.n_max + 1 > DEFAULT_CAP:
-        raise CapExceededError(f"length {args.n_max + 1} exceeds cap {DEFAULT_CAP}")
+    _check_length(args.n_max + 1, DEFAULT_CAP)
     from .verify import run_suite
     if args.format == "jsonl":
         import json
@@ -301,8 +302,7 @@ def _cmd_wilf(args: argparse.Namespace, out) -> int:
     if args.n_max < 1:
         raise _Usage("--n-max must be positive")
     cap = _cap(args)
-    if args.n_max > cap:
-        raise CapExceededError(f"length {args.n_max} exceeds cap {cap}")
+    _check_length(args.n_max, cap)
     report = wilf_classes(args.pattern_length, args.n_max, cap=cap)
     document = {
         "pattern_length": report.pattern_length,

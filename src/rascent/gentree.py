@@ -12,7 +12,7 @@ against the materialized trees.
 from __future__ import annotations
 
 import enum
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 # Loaded on first use, maybe while a tracer (perfbench/layers.py) has
 # wrapped public functions of other modules: so those are called through
@@ -168,6 +168,13 @@ def _word_label(w: Word, rule: Rule) -> Label:
     return (max(w) if rule is Rule.FULL else _smallest_rise_top(w), w[-1])
 
 
+def _children(w: Word, has_123: Callable[[Word], bool] | None = None) -> list[Word]:
+    """The children of w, add_entry(w, v) for v = 1 .. max(w) + 1 in
+    order; given the compiled 123 test, only the 123-avoiding ones."""
+    kids = [_maps._add_entry(w, v) for v in range(1, max(w) + 2)]
+    return kids if has_123 is None else [y for y in kids if not has_123(y)]
+
+
 def expand_level(rule: Rule, n: int, cap: int = DEFAULT_CAP) -> list[Word]:
     """Materialize every word of length n in the tree, sorted.
 
@@ -181,15 +188,8 @@ def expand_level(rule: Rule, n: int, cap: int = DEFAULT_CAP) -> list[Word]:
         raise ValueError("tree levels start at length 2")
     if n > cap:
         raise CapExceededError(f"length {n} exceeds cap {cap}")
-    has_123 = _patterns.occurrence_test(_PATTERN_123)
+    has_123 = _patterns.occurrence_test(_PATTERN_123) if rule is Rule.AVOID123 else None
     words = [ROOT_WORD]
     for _ in range(n - 2):
-        nxt: list[Word] = []
-        for w in words:
-            for v in range(1, max(w) + 2):
-                child = _maps._add_entry(w, v)
-                if rule is Rule.AVOID123 and has_123(child):
-                    continue
-                nxt.append(child)
-        words = nxt
+        words = [y for w in words for y in _children(w, has_123)]
     return sorted(words)

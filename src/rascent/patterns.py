@@ -318,28 +318,6 @@ def wilf_classes(pattern_length: int, n_max: int,
     return WilfReport(pattern_length=pattern_length, n_max=n_max, classes=classes)
 
 
-def max_prefix_equivalent(pattern: Iterable[int], n_max: int,
-                          family: Family = Family.REVISED,
-                          cap: int = DEFAULT_CAP) -> bool:
-    """Check that avoiding p equals avoiding max(p)*p on the family.
-
-    Applies to patterns whose second entry is the unique maximum;
-    prepending that maximum then provably leaves the avoider set alone.
-    Compares avoider sets exactly for every n up to n_max.
-    """
-    p = check_pattern(pattern)
-    m = max(p)
-    if len(p) < 2 or p[1] != m or p.count(m) != 1:
-        raise ValueError(f"second entry must be the unique maximum: {p}")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    extended = check_pattern((m,) + p)
-    for n in range(1, n_max + 1):
-        if avoider_words(n, p, family, cap=cap) != avoider_words(n, extended, family, cap=cap):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # The five structurally solved avoidance classes, each as its shape: a
 # revised ascent sequence fits the shape exactly when it avoids the

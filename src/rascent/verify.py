@@ -71,7 +71,9 @@ class _Sweep:
 
 # ---------------------------------------------------------------- eta
 
-def _bijection_misses(image: list[Word], target: Sequence[Word]) -> Iterator[str]:
+def _bijection_misses(image: Iterable[Word], target: Iterable[Word]) -> Iterator[str]:
+    # the one test that a map is a bijection onto a family: a collision,
+    # then a word in the image or the target but not both
     seen: set[Word] = set()
     for w in image:
         if w in seen:
@@ -100,7 +102,7 @@ def suite_eta(n_max: int) -> list[Check]:
                                           if max(y) != _ascent_tops(x).bit_count()))
         s.note("counts-match-fishburn", [f"n={n}"] if len(revised) != fib[n - 1] else [])
         revised = _words.enumerate_family(n + 1, Family.REVISED)
-        s.note("bijection-onto-next-length", _bijection_misses(list(image.values()), revised))
+        s.note("bijection-onto-next-length", _bijection_misses(image.values(), revised))
         if n <= relabel_top:
             s.note("equals-relabel-of-padded-word",
                    (_format_word(x) for x, y in image.items()
@@ -121,8 +123,7 @@ def suite_eta(n_max: int) -> list[Check]:
 
 def _extension_misses(words: Sequence[Word], longer: set[Word]) -> Iterator[str]:
     for x in words:
-        for v in range(1, max(x) + 2):
-            y = _maps._add_entry(x, v)
+        for v, y in enumerate(_gentree._children(x), start=1):
             if y not in longer:
                 yield f"{_format_word(x)}+{v}"
             elif _maps._peel(y) != x:
@@ -139,8 +140,8 @@ def _peel_misses(words: Sequence[Word], shorter: set[Word]) -> Iterator[str]:
 def _complement_misses(n: int, revised: Sequence[Word]) -> Iterator[str]:
     for fam, mate in ((Family.REVISED, Family.DESTOP), (Family.MODIFIED, Family.DESBOT)):
         source = revised if fam is Family.REVISED else _words.enumerate_family(n, fam)
-        if {_maps.complement(w) for w in source} != set(_words.enumerate_family(n, mate)):
-            yield f"{fam.value}->{mate.value} at n={n}"
+        for miss in _bijection_misses(map(_maps.complement, source), _words.enumerate_family(n, mate)):
+            yield f"{fam.value}->{mate.value} at n={n}: {miss}"
 
 
 def _stat_miss(w: Sequence[int]) -> bool:
@@ -211,14 +212,12 @@ def suite_addrom(n_max: int) -> list[Check]:
 
 # ------------------------------------------------------------ gentree
 
-def _rule_misses(words: Sequence[Word], rule: Rule) -> Iterator[str]:
-    has_123 = _patterns.occurrence_test((1, 2, 3))
+def _rule_misses(words: Sequence[Word], rule: Rule,
+                 has_123: Callable[[Word], bool] | None = None) -> Iterator[str]:
     label = _gentree._word_label
     for x in words:
-        kids = [_maps._add_entry(x, v) for v in range(1, max(x) + 2)]
-        if rule is Rule.AVOID123:
-            kids = [y for y in kids if not has_123(y)]
-        if Counter(label(y, rule) for y in kids) != Counter(_RULE_CHILDREN[rule](label(x, rule))):
+        if (Counter(label(y, rule) for y in _gentree._children(x, has_123))
+                != Counter(_RULE_CHILDREN[rule](label(x, rule)))):
             yield _format_word(x)
 
 
@@ -236,11 +235,12 @@ def suite_gentree(n_max: int) -> list[Check]:
     dp = {rule: _gentree.label_counts(rule, 25) for rule in (Rule.FULL, Rule.AVOID123)}
     full = [lc.total for lc in dp[Rule.FULL]]
     sub = [lc.total for lc in dp[Rule.AVOID123]]
+    has_123 = _patterns.occurrence_test((1, 2, 3))
     for n in range(2, n_max + 1):
         words = _words.enumerate_family(n, Family.REVISED)
         avoiders = _patterns.avoider_words(n, (1, 2, 3))
         s.note("generic-children-match-rule", _rule_misses(words, Rule.FULL))
-        s.note("avoid123-children-match-rule", _rule_misses(avoiders, Rule.AVOID123))
+        s.note("avoid123-children-match-rule", _rule_misses(avoiders, Rule.AVOID123, has_123))
         if full[n - 2] != len(words):
             s.note("level-totals-match-enumeration", [f"full tree at n={n}"])
         elif sub[n - 2] != len(avoiders):
@@ -298,10 +298,10 @@ def suite_table1(n_max: int) -> list[Check]:
 def _shift_trim_misses(top: int) -> Iterator[str]:
     has_122 = _patterns.occurrence_test((1, 2, 2))
     for n in range(1, top + 1):
-        image = [_maps._shift_trim(w) for w in _patterns.avoider_words(n + 1, (2, 1, 1))]
-        target = [w for w in _words.enumerate_family(n, Family.MODIFIED) if not has_122(w)]
-        if len(set(image)) != len(image) or sorted(image) != sorted(target):
-            yield f"n={n}"
+        image = map(_maps._shift_trim, _patterns.avoider_words(n + 1, (2, 1, 1)))
+        target = (w for w in _words.enumerate_family(n, Family.MODIFIED) if not has_122(w))
+        for miss in _bijection_misses(image, target):
+            yield f"n={n}: {miss}"
 
 
 def suite_phi(n_max: int) -> list[Check]:
@@ -370,10 +370,10 @@ def suite_series(n_max: int) -> list[Check]:
 # -------------------------------------------------------------- forms
 
 def _form_misses(n: int, words: Sequence[Word], form: str) -> Iterator[str]:
-    avoiders = set(_patterns.avoider_words(n, tuple(int(c) for c in form)))
-    shaped = {w for w in words if _patterns._FORM_CHECKS[form](w)}
-    if avoiders != shaped:
-        yield f"{_format_word(next(iter(avoiders ^ shaped)))} at n={n}"
+    # the words that fit the shape are exactly the avoiders
+    shaped = (w for w in words if _patterns._FORM_CHECKS[form](w))
+    for miss in _bijection_misses(shaped, _patterns.avoider_words(n, tuple(map(int, form)))):
+        yield f"{miss} at n={n}"
 
 
 def suite_forms(n_max: int) -> list[Check]:

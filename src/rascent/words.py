@@ -15,6 +15,7 @@ Positions are 1-based everywhere.  Words are plain tuples of ints.
 from __future__ import annotations
 
 import enum
+import sys
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -383,6 +384,10 @@ _ATOP = 8  # ASCENT: at most one more than the ascent tops so far
 # A BlockLeaf takes the completions of the last three levels in one block.
 _BLOCK_DEPTH = 3
 
+# The search recurses once per entry, so it refuses a length above the
+# recursion limit less these frames (900 by default), whatever the cap.
+_DEPTH_HEADROOM = 100
+
 _MODE = {
     Family.ASCENT: _ATOP,
     Family.CAYLEY: _CAYLEY,
@@ -451,6 +456,15 @@ def _candidates(mode: int, rest: int, p: int, maxv: int, seen: int, fresh: bool,
     return (new | rep) & (beyond if fresh else ~beyond) if p > 2 else new | rep
 
 
+def _check_length(n: int, cap: int) -> None:
+    """Refuse a search of length n above cap or the search's depth limit."""
+    if n > cap:
+        raise CapExceededError(f"length {n} exceeds cap {cap}")
+    limit = sys.getrecursionlimit() - _DEPTH_HEADROOM
+    if n > limit:
+        raise CapExceededError(f"length {n} exceeds the search's depth limit {limit}")
+
+
 def search_family(n: int, family: Family, leaf: Callable[[list[int]], None],
                   accept: Optional[AcceptFn] = None,
                   cap: int = DEFAULT_CAP) -> None:
@@ -465,15 +479,15 @@ def search_family(n: int, family: Family, leaf: Callable[[list[int]], None],
     exact completion bound (see above) are applied first.  A
     FrontierVeto is not called: the search tests its frontier instead,
     which refuses exactly what the veto refuses.  A BlockLeaf may be
-    handed each prefix's completions in one block (see above).
+    handed each prefix's completions in one block (see above).  A length
+    above cap or the depth limit raises CapExceededError.
     """
     mode = _MODE.get(family)
     if mode is None:
         raise ValueError(f"unknown family {family!r}")
     if n < 1:
         raise ValueError("length must be >= 1")
-    if n > cap:
-        raise CapExceededError(f"length {n} exceeds cap {cap}")
+    _check_length(n, cap)
     step: Optional[StepFn] = None
     forbid = 0
     if isinstance(accept, FrontierVeto):

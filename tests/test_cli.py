@@ -297,6 +297,25 @@ def test_enumerate_cap_violation(capsys):
     assert "cap" in err
 
 
+def test_a_length_past_the_search_depth_limit_is_refused_in_one_line():
+    # the search recurses once per entry; --cap-override does not lift its
+    # depth limit (900 at the default recursion limit), and a refused run
+    # writes nothing, where it used to end in a RecursionError traceback
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+    def spawn(*argv):
+        return subprocess.run([sys.executable, "-m", "rascent.cli", *argv], capture_output=True,
+                              env=env, timeout=60)
+
+    for argv in (("enumerate", "--family", "asc", "--n", "1000", "--avoid", "12"),
+                 ("count", "--family", "asc", "--avoid", "12", "--n-max", "1000")):
+        done = spawn(*argv, "--cap-override", "1000")
+        assert (done.returncode, done.stdout) == (1, b"")
+        assert done.stderr == f"rascent {argv[0]}: length 1000 exceeds the search's depth limit 900\n".encode()
+    done = spawn("enumerate", "--family", "asc", "--n", "900", "--avoid", "12", "--cap-override", "1000")
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"1" * 900 + b"\n", b"")
+
+
 def test_enumerate_other_families(capsys):
     code, out, _ = run(capsys, "enumerate", "--family", "asc", "--n", "3")
     assert out.splitlines() == ["111", "112", "121", "122", "123"]

@@ -18,12 +18,12 @@ from rascent.patterns import (
     count_occurrences,
     frontier,
     matches_form,
-    max_prefix_equivalent,
     occurrence_test,
     wilf_classes,
 )
 from rascent.words import Family, FrontierVeto, enumerate_family, family_members, search_family
 from rascent.maps import standardize
+from rascent.verify import run_suite
 
 import reference
 
@@ -223,19 +223,25 @@ def test_equal_avoider_sets_for_proved_pairs():
         assert avoider_words(n, (1, 2, 1)) == avoider_words(n, (2, 1, 1))
 
 
+def _prefix_lemma(n_max):
+    return next(c for c in run_suite("wilf", n_max) if c.name == "prepending-the-maximum-is-neutral")
+
+
 def test_prefixing_the_maximum_changes_nothing():
-    for pattern in [(1, 2), (1, 2, 1), (2, 3, 1), (1, 3, 2)]:
-        assert max_prefix_equivalent(pattern, 8)
+    # the wilf suite compares the avoider sets of 12, 121, 231 and 132
+    # with those of 212, 2121, 3231 and 3132
+    lemma = _prefix_lemma(8)
+    assert (lemma.passed, lemma.scope, lemma.counterexample) == (True, "n<=8", None)
 
 
-def test_max_prefix_equivalent_precondition():
-    with pytest.raises(ValueError):
-        max_prefix_equivalent((2, 1), 6)  # maximum leads, not second
-    with pytest.raises(ValueError):
-        max_prefix_equivalent((1, 2, 2), 6)  # maximum repeats
-    for n_max in (0, -3):  # no length to compare
-        with pytest.raises(ValueError, match="n_max must be >= 1"):
-            max_prefix_equivalent((1, 2), n_max)
+def test_prefix_lemma_check_fails_when_the_sets_differ(monkeypatch):
+    def wrong(n, pattern, *args, **kwargs):
+        # 212 loses its one avoider of length 3, 111
+        return [] if (n, tuple(pattern)) == (3, (2, 1, 2)) else avoider_words(n, pattern, *args, **kwargs)
+
+    monkeypatch.setattr("rascent.patterns.avoider_words", wrong)
+    lemma = _prefix_lemma(8)
+    assert (lemma.passed, lemma.counterexample) == (False, "12")
 
 
 def test_wilf_classes_of_length_two():

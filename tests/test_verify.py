@@ -75,6 +75,13 @@ def test_statistics_check_still_fails_on_a_fault(monkeypatch, fault):
     assert not check.passed and check.counterexample == "12"
 
 
+def test_complement_family_check_still_fails_on_a_fault(monkeypatch):
+    # the identity sends the modified word 12 outside the desbot family
+    monkeypatch.setattr(maps, "complement", lambda x: tuple(x))
+    check = _verdict("addrom", "complement-swaps-families", 4)
+    assert (check.passed, check.counterexample) == (False, "mod->desbot at n=2: 12")
+
+
 def test_statistics_sweep_holds_no_word_list():
     tracemalloc.start()
     try:
@@ -111,8 +118,9 @@ def test_monotonicity_check_still_fails_on_a_wrong_pattern_test(monkeypatch):
     assert not check.passed and check.counterexample
 
 
-# The eta and addrom sweeps run the trusted cores of the maps on the
-# words they enumerate; a wrong core must still fail its checks.
+# The eta, addrom, phi and gentree sweeps run the trusted cores of the
+# maps on the words they enumerate; a wrong core must still fail its
+# checks.
 _WRONG_CORES = {
     "_unrevise": lambda w: (1,) * (len(w) - 1),  # forgets every entry
     "_add_entry": lambda w, v: w + (v,),  # never bumps
@@ -130,6 +138,8 @@ _WRONG_CORES = {
     ("_peel", "addrom", "extension-stays-in-family"),
     ("_peel", "addrom", "every-word-is-an-extension"),
     ("_shift_trim", "phi", "bijection-onto-modified-family"),
+    ("_add_entry", "gentree", "generic-children-match-rule"),
+    ("_add_entry", "gentree", "avoid123-children-match-rule"),
 ])
 def test_map_checks_still_fail_on_a_wrong_core(monkeypatch, core, suite, name):
     monkeypatch.setattr(maps, core, _WRONG_CORES[core])

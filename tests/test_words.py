@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -28,7 +29,8 @@ from rascent.words import (
     search_family,
     stat_sets,
 )
-from rascent.words import _MODE, _candidates
+from rascent.words import _DEPTH_HEADROOM, _MODE, _candidates
+from rascent.patterns import avoid_filter
 from rascent.oracle import fishburn, stirling2
 
 import reference
@@ -204,6 +206,21 @@ def test_enumeration_cap():
     with pytest.raises(ValueError):
         enumerate_family(0, Family.REVISED)
     assert count_family(3, Family.REVISED, cap=3) == 2
+
+
+def test_search_refuses_lengths_past_its_depth_limit():
+    # the search recurses once per entry: past its depth limit a length is
+    # refused as the cap refuses it, before the first leaf, whatever the cap
+    limit = sys.getrecursionlimit() - _DEPTH_HEADROOM
+    lengths = []
+    for n, accept in ((1200, None), (limit + 1, avoid_filter((1, 2)))):
+        with pytest.raises(CapExceededError, match=f"length {n} exceeds the search's depth limit {limit}"):
+            search_family(n, Family.ASCENT, lambda e: lengths.append(len(e)), accept=accept, cap=5000)
+    assert lengths == []
+    # at the limit the search still reaches its one 12-avoider, 1...1
+    search_family(limit, Family.ASCENT, lambda e: lengths.append(len(e)),
+                  accept=avoid_filter((1, 2)), cap=limit)
+    assert lengths == [limit]
 
 
 # Every public function that takes a family, called with the family f.
