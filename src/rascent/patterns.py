@@ -18,12 +18,15 @@ complete.  Two factories compile a pattern once for many words:
 `occurrence_test` for containment (what `contains` wraps) and
 `avoid_filter` for the search veto.
 
-That core stays the one reference, and the search veto for patterns of
-length 4 to 6.  For length <= 3 the search instead keeps the pattern's
-`frontier`: the bit set of values that would complete an occurrence,
-so the veto is one bit test.  One rule, read off the pattern's three
-comparisons, updates it per entry.  Tests check the frontier against
-the naive oracle and the search it drives against the core.
+That core stays the one reference, and the search veto for the
+patterns of length 4 to 6 that have no frontier.  For length <= 3, and
+for the 13 patterns x y x z of length 4, the search instead keeps the
+pattern's `frontier`: the bit set of values that would complete an
+occurrence, so the veto is one bit test.  One rule, read off the
+pattern's three comparisons, updates it per entry; an x y x z pattern
+also keeps, in lanes above the forbidden set, what the rule of y x z
+would add if each value seen came again.  Tests check the frontier
+against the naive oracle and the search it drives against the core.
 """
 
 from __future__ import annotations
@@ -201,32 +204,84 @@ def _frontier_step(p: Word) -> StepFn:
     return step
 
 
-def frontier(pattern: Iterable[int]) -> tuple[int, StepFn]:
-    """The forbidden-next-value frontier of a pattern of length <= 3.
+# A pattern x y x z of length 4 is completed by appending v to a prefix
+# holding a, b, u in order exactly when a = u and (b, u, v) is an
+# occurrence of y x z.  The first occurrence of u gives b the most room,
+# so appending u again forbids what the length-3 step of y x z adds for
+# u when it is given, in place of seen, the values seen since u first
+# came.  That step adds the union of what it adds for each of those
+# values alone, so the frontier keeps, for each value w seen, the set
+# G_w that appending w again would add: the union, over the values b
+# seen since w first came, of what the step adds for w given b alone.
+#
+# The sets sit in the same int, in lanes of _LANE bits.  Lane 0 is the
+# forbidden set; lane w is G_w less the forbidden set, with bit 0 (no
+# value) marking w as seen.  Appending u adds lane u to lane 0 if u was
+# seen, adds to every marked lane w the step's set for w after u alone
+# (one table row per u), clears the forbidden values from every lane,
+# and marks lane u if u is new.  The frontier so holds only what later
+# steps read, not the values seen since each value came, and the
+# search's block memo, which keys on it, lists far fewer states.  A
+# lane holds values up to _LANE - 1, so the search calls the veto for
+# longer words.
 
-    Returns (init, step): init is the bit set of values that complete an
-    occurrence on their own, and step(forbid, seen, u) the set after u
-    is appended to a prefix with frontier forbid and value bit set seen.
-    Bit v of the set is on exactly when appending v completes a new
-    occurrence.
+_LANE = 64
+
+
+@lru_cache(maxsize=None)
+def _lane_step(p: Word, width: int) -> StepFn:
+    inner = _frontier_step((p[1], p[0], p[3]))
+    lane = (1 << width) - 1
+    marks = sum(1 << width * w for w in range(1, width))
+    adds: list = [None] * width  # row u, filled when first needed
+
+    def step(forbid: int, seen: int, u: int) -> int:
+        add = adds[u]
+        if add is None:  # a length-3 step may add a negative set: mask it
+            add = adds[u] = sum((inner(0, 1 << u, w) & lane) << width * w for w in range(1, width))
+        f = forbid & lane
+        if seen >> u & 1:
+            f |= forbid >> width * u & lane - 1  # G_u, without the mark
+        # (forbid & marks) * (lane ^ f) covers each marked lane, less f
+        grown = f | (forbid | add) & (forbid & marks) * (lane ^ f)
+        return grown if seen >> u & 1 else grown | 1 << width * u
+    return step
+
+
+def frontier(pattern: Iterable[int]) -> tuple[int, StepFn]:
+    """The forbidden-next-value frontier of a pattern of length <= 3 or
+    of the form x y x z.
+
+    Returns (init, step): init is the frontier of the empty prefix, and
+    step(forbid, seen, u) the frontier after u is appended to a prefix
+    with frontier forbid and value bit set seen.  Bit v of the frontier,
+    for v < _LANE, is on exactly when appending v completes a new
+    occurrence; a length-4 frontier keeps more state above those bits.
 
     >>> init, step = frontier((1, 3, 2))
     >>> forbid = step(step(init, 0, 2), 1 << 2, 5)  # after the prefix 2 5
     >>> [v for v in range(1, 8) if forbid >> v & 1]
     [3, 4]
+    >>> init, step = frontier((2, 1, 2, 1))
+    >>> forbid = step(step(step(init, 0, 2), 1 << 2, 1), 3 << 1, 2)  # after 2 1 2
+    >>> [v for v in range(1, 8) if forbid >> v & 1]
+    [1]
     """
     p = check_pattern(pattern)
-    if len(p) > 3:
-        raise ValueError(f"frontiers cover patterns of length <= 3, got {p}")
-    return (-1 if len(p) == 1 else 0), _frontier_step(p)
+    if len(p) <= 3:
+        return (-1 if len(p) == 1 else 0), _frontier_step(p)
+    if len(p) == 4 and p[2] == p[0]:
+        return 0, _lane_step(p, _LANE)
+    raise ValueError(f"frontiers cover patterns of length <= 3 and x y x z, got {p}")
 
 
 def avoid_filter(pattern: Iterable[int]) -> AcceptFn:
     """The search veto for avoiding the pattern: an `accept` for
     `search_family` that refuses exactly the candidates completing an
-    occurrence in a prefix that avoids it.  For patterns of length <= 3
-    it is a FrontierVeto, so the search clears the frontier from its
-    candidates instead of calling it.
+    occurrence in a prefix that avoids it.  For the patterns with a
+    `frontier` it is a FrontierVeto, so the search clears the frontier
+    from its candidates instead of calling it (for x y x z, up to
+    length _LANE - 1, the longest its lanes hold).
 
     >>> veto = avoid_filter((1, 2))
     >>> veto([2, 1], 1), veto([2, 1], 3)
@@ -243,9 +298,9 @@ def avoid_filter(pattern: Iterable[int]) -> AcceptFn:
         chosen[0] = v
         return not _match(entries, plan, chosen, 1, 0, True)
 
-    if k > 3:
+    if k > 4 or k == 4 and p[2] != p[0]:
         return accept
-    return FrontierVeto(accept, *frontier(p))
+    return FrontierVeto(accept, *frontier(p), limit=_LANE - 1 if k == 4 else math.inf)
 
 
 def avoider_words(n: int, pattern: Iterable[int], family: Family = Family.REVISED,

@@ -15,6 +15,7 @@ Positions are 1-based everywhere.  Words are plain tuples of ints.
 from __future__ import annotations
 
 import enum
+import math
 import sys
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Optional
@@ -311,10 +312,17 @@ def is_member(x: Iterable[int], family: Family) -> bool:
 # atop instead), the bit set of values seen, whether the last entry was
 # new, the last entry, and forbid, the bit set of values a pattern veto
 # refuses as the next entry.  A FrontierVeto (what patterns.avoid_filter
-# builds for patterns of length <= 3) carries forbid's initial value and
-# its update step, which patterns.frontier derives from the pattern;
-# the search then clears forbid from the candidates instead of calling
-# the veto.  Any other accept leaves forbid at 0 and is called as before.
+# builds for patterns of length <= 3 and of the form x y x z) carries
+# forbid's initial value and its update step, which patterns.frontier
+# derives from the pattern; the search then clears forbid from the
+# candidates instead of calling the veto.  A length-4 frontier keeps its
+# own state in fixed-width lanes above the forbidden values, so forbid
+# is the whole int (the candidates only meet its low lane) and the memo
+# below keys on all of it; past the length its lanes hold (its limit),
+# the search calls the veto.  Any other accept leaves forbid at 0 and
+# is called as before.  forbid only grows along a path, so in a
+# Cayley-based family a node whose forbid holds a value missing below
+# its maximum has no member below it, and the search returns there.
 #
 # So every completion below a node depends only on the node's state.
 # When the leaf is a BlockLeaf and there is no accept (or only a
@@ -337,17 +345,19 @@ class FrontierVeto:
     """A pattern veto that also carries the pattern's frontier.
 
     Called with (prefix, candidate) it is a plain AcceptFn and runs the
-    veto it wraps.  The frontier is the bit set of values no next entry
-    may take: init for the empty prefix, and step(forbid, seen, v) for
-    the set after v is appended to a prefix whose values are the bit
-    set seen.  The search threads the set through its state instead of
-    calling the veto.
+    veto it wraps.  The frontier is an int whose low bits are the bit
+    set of values no next entry may take: init for the empty prefix,
+    and step(forbid, seen, v) for the frontier after v is appended to a
+    prefix whose values are the bit set seen.  Up to length limit the
+    search threads the frontier through its state instead of calling
+    the veto; past it, where the frontier cannot hold the values, the
+    search calls the veto.
     """
 
-    __slots__ = ("veto", "init", "step")
+    __slots__ = ("veto", "init", "step", "limit")
 
-    def __init__(self, veto: AcceptFn, init: int, step: StepFn) -> None:
-        self.veto, self.init, self.step = veto, init, step
+    def __init__(self, veto: AcceptFn, init: int, step: StepFn, limit: float = math.inf) -> None:
+        self.veto, self.init, self.step, self.limit = veto, init, step, limit
 
     def __call__(self, entries: list[int], v: int) -> bool:
         return self.veto(entries, v)
@@ -477,8 +487,8 @@ def search_family(n: int, family: Family, leaf: Callable[[list[int]], None],
     exhaustive over the accepted set.  accept only sees candidates
     that some member of length n extends: the family rule and the
     exact completion bound (see above) are applied first.  A
-    FrontierVeto is not called: the search tests its frontier instead,
-    which refuses exactly what the veto refuses.  A BlockLeaf may be
+    FrontierVeto is not called up to its limit: the search tests its
+    frontier instead, which refuses exactly what the veto refuses.  A BlockLeaf may be
     handed each prefix's completions in one block (see above).  A length
     above cap or the depth limit raises CapExceededError.
     """
@@ -490,7 +500,7 @@ def search_family(n: int, family: Family, leaf: Callable[[list[int]], None],
     _check_length(n, cap)
     step: Optional[StepFn] = None
     forbid = 0
-    if isinstance(accept, FrontierVeto):
+    if isinstance(accept, FrontierVeto) and n <= accept.limit:
         accept, forbid, step = None, accept.init, accept.step
     entries: list[int] = []
     depth = _BLOCK_DEPTH if isinstance(leaf, BlockLeaf) and accept is None else 0
@@ -502,9 +512,12 @@ def search_family(n: int, family: Family, leaf: Callable[[list[int]], None],
     keep_seen = mode != _ATOP or step is not None
     keep_last = mode != _CAYLEY
     keep_fresh = bool(mode & _DEFERRED)
+    cayley_based = mode != _ATOP
 
     def rec(maxv: int, seen: int, fresh: bool, last: int, forbid: int) -> None:
         nonlocal leaf, depth
+        if forbid and cayley_based and forbid & ~seen & (2 << maxv) - 2:
+            return  # a missing value is forbidden: no member completes this
         p = len(entries) + 1
         rest = n - p
         if rest < depth and maxv + rest < 255:

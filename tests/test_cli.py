@@ -120,16 +120,17 @@ def by_blocks(empty):
     return wrap
 
 
-# no pattern, the 17 patterns of length <= 3 (each a FrontierVeto) and
-# 2121 (a plain accept)
-_GRID_PATTERNS = (None, *(format_word(p) for k in (1, 2, 3) for p in enumerate_family(k, Family.CAYLEY)), "2121")
+# no pattern, the 17 patterns of length <= 3 and the table's 2121, 3132
+# and 3231 (each a FrontierVeto), and 1234 (a plain accept)
+_GRID_PATTERNS = (None, *(format_word(p) for k in (1, 2, 3) for p in enumerate_family(k, Family.CAYLEY)),
+                  "2121", "3132", "3231", "1234")
 
 
 def test_blocks_write_what_the_per_word_search_writes(monkeypatch):
     # each format is checked against the per-word search's words; a JSON
     # line is built from a template, which is what json.dumps writes for
     # a word of digits and commas
-    assert len(_GRID_PATTERNS) == 19
+    assert len(_GRID_PATTERNS) == 22
     assert json.dumps({"n": 7, "word": "1,10"}) == '{"n": 7, "word": "1,10"}'
     empty = [0]
     for family in Family:
@@ -187,6 +188,21 @@ def test_blocks_are_listed_once_per_state_the_family_reads(monkeypatch, family, 
     # one list of tails for each distinct key at n = 8; keyed by the whole
     # state (maximum, seen, fresh, last), ASCENT would list 20 and CAYLEY
     # 724, as they never read seen and last respectively
+    assert block_lists(monkeypatch, ("enumerate", "--family", family.value, "--n", "8")) == states
+
+
+@pytest.mark.parametrize("pattern, states", [("2121", 612), ("3132", 166), ("1111", 581)])
+def test_blocks_under_a_length_4_frontier_are_listed_once_per_future(monkeypatch, pattern, states):
+    # REVISED at n = 10: a lane keeps only what its value would newly
+    # forbid if it came again, so prefixes with the same future share a
+    # list; lanes of the values seen since each value came would list
+    # 1,180, 274 and 2,394
+    argv = ("enumerate", "--family", "rasc", "--n", "10", "--avoid", pattern)
+    assert block_lists(monkeypatch, argv) == states
+
+
+def block_lists(monkeypatch, argv):
+    """The number of distinct lists of tails enumerate's search hands out."""
     lists = {}
 
     def wrap(leaf):
@@ -194,8 +210,8 @@ def test_blocks_are_listed_once_per_state_the_family_reads(monkeypatch, family, 
             lists[id(tails)] = tails
             leaf.block(entries, tails)
         return BlockLeaf(leaf.leaf, block)
-    enumerate_with(monkeypatch, ("enumerate", "--family", family.value, "--n", "8"), wrap)
-    assert len(lists) == states
+    enumerate_with(monkeypatch, argv, wrap)
+    return len(lists)
 
 
 def test_block_memory_stays_bounded(monkeypatch):

@@ -6,6 +6,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rascent import patterns, words
 from rascent.patterns import (
     FORM_NAMES,
     PATTERN_CAP,
@@ -71,21 +72,29 @@ def test_pattern_cap():
     with pytest.raises(ValueError):
         occurrence_test((1, 3))
     with pytest.raises(ValueError):
-        frontier((1, 2, 3, 4))  # lengths 4 to 6 keep the matching veto
+        # the length-4 patterns other than x y x z, and lengths 5 and 6,
+        # keep the matching veto
+        frontier((1, 2, 3, 4))
 
 
 # all 17 Cayley permutations of length 1 to 3
 SHORT_PATTERNS = [p for k in (1, 2, 3) for p in enumerate_family(k, Family.CAYLEY)]
+# the 13 of length 4 of the form x y x z, which have a frontier too
+XYXZ_PATTERNS = [p for p in enumerate_family(4, Family.CAYLEY) if p[2] == p[0]]
+FRONTIER_PATTERNS = SHORT_PATTERNS + XYXZ_PATTERNS
 
 
 def _check_frontier(prefix: list, v_max: int) -> None:
     # bit v of the frontier after the prefix is on exactly when v
-    # completes a new occurrence, for every v up to v_max
-    for pattern in SHORT_PATTERNS:
+    # completes a new occurrence, for every v up to v_max; only the
+    # bits below the lane width are the forbidden set
+    assert v_max < patterns._LANE
+    for pattern in FRONTIER_PATTERNS:
         forbid, step = frontier(pattern)
         seen = 0
         for u in prefix:
             forbid, seen = step(forbid, seen, u), seen | 1 << u
+        forbid &= (1 << patterns._LANE) - 1
         before = reference.count_subsequence_matches(prefix, pattern)
         for v in range(1, v_max + 1):
             after = reference.count_subsequence_matches(prefix + [v], pattern)
@@ -107,13 +116,13 @@ def test_frontier_marks_exactly_the_completing_values_on_every_short_prefix():
 
 
 def test_avoider_sets_match_filtered_enumeration():
-    # one pattern of every length up to the cap, and every pattern of
-    # length <= 3 in every family; the naive search is the oracle
+    # one matched pattern of every length from 4 up to the cap, and every
+    # pattern with a frontier in every family; the naive search is the oracle
     cases = [(Family.REVISED, n, pattern) for n in range(1, 8)
-             for pattern in [(2, 1, 2, 1), (1, 2, 3, 4, 5), (2, 1, 2, 1, 2, 1)]]
+             for pattern in [(1, 2, 3, 4), (1, 2, 3, 4, 5), (2, 1, 2, 1, 2, 1)]]
     cases += [(family, n, pattern) for family in Family
               for n in range(1, {Family.REVISED: 8, Family.CAYLEY: 6}.get(family, 7))
-              for pattern in SHORT_PATTERNS]
+              for pattern in FRONTIER_PATTERNS]
     for family, n, pattern in cases:
         want = [w for w in enumerate_family(n, family)
                 if reference.count_subsequence_matches(w, pattern) == 0]
@@ -132,9 +141,10 @@ def test_search_never_calls_a_frontier_veto(family):
     # every family threads the frontier through its state, and finds
     # the same words as a search that calls the veto
     calls = []
-    for pattern in SHORT_PATTERNS:
+    for pattern in FRONTIER_PATTERNS:
         veto = avoid_filter(pattern)
-        counted = FrontierVeto(lambda e, v, veto=veto: calls.append(v) or veto(e, v), veto.init, veto.step)
+        counted = FrontierVeto(lambda e, v, veto=veto: calls.append(v) or veto(e, v),
+                               veto.init, veto.step, veto.limit)
         for n in range(1, 7):
             got: list = []
             want: list = []
@@ -142,6 +152,43 @@ def test_search_never_calls_a_frontier_veto(family):
             search_family(n, family, lambda e: want.append(tuple(e)), accept=lambda e, v: veto(e, v))
             assert got == want, (pattern, n)
     assert calls == []
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_a_length_past_the_lanes_falls_back_to_the_veto(monkeypatch, family):
+    # lanes of 6 bits hold the values up to 5: to length 5 the search
+    # keeps the frontier, and at length 6 it calls the veto instead;
+    # either way it finds the naive set
+    monkeypatch.setattr(patterns, "_LANE", 6)
+    assert len(XYXZ_PATTERNS) == 13
+    for pattern in XYXZ_PATTERNS:
+        veto = avoid_filter(pattern)
+        assert veto.limit == 5
+        for n in (5, 6):
+            calls: list = []
+            counted = FrontierVeto(lambda e, v: calls.append(v) or veto(e, v), veto.init, veto.step, veto.limit)
+            got: list = []
+            search_family(n, family, lambda e: got.append(tuple(e)), accept=counted)
+            assert got == [w for w in enumerate_family(n, family)
+                           if reference.count_subsequence_matches(w, pattern) == 0], (pattern, n)
+            assert bool(calls) == (n == 6), (pattern, n)
+
+
+@pytest.mark.parametrize("pattern, count, nodes", [((3, 1, 3, 2), 2_327, 3_571), ((2, 3, 1), 503, 1_452)])
+def test_search_stops_where_a_missing_value_is_forbidden(monkeypatch, pattern, count, nodes):
+    # REVISED at n = 10: a prefix missing a forbidden value below its
+    # maximum has no avoiding member, so the search stops there (it
+    # computed the candidates of 6,438 and 3,572 nodes without the stop)
+    calls = [0]
+    real = words._candidates
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(words, "_candidates", counted)
+    assert count_avoiders.__wrapped__(10, pattern) == count
+    assert calls[0] == nodes
 
 
 def test_avoider_count_spot_values():

@@ -154,6 +154,25 @@ def test_candidates_depend_only_on_the_state(family):
             assert {v for v in range(cand.bit_length()) if cand >> v & 1} == want, (n, x)
 
 
+@pytest.mark.parametrize("family, n, count, nodes", [
+    (Family.ASCENT, 9, 31_240, 6_643), (Family.CAYLEY, 7, 47_293, 35_856),
+    (Family.MODIFIED, 9, 31_240, 24_086), (Family.REVISED, 9, 5_335, 5_126),
+    (Family.DESTOP, 9, 5_335, 4_322), (Family.DESBOT, 9, 31_240, 35_812),
+])
+def test_unfiltered_counts_visit_the_pinned_nodes(monkeypatch, family, n, count, nodes):
+    # an unfiltered search has no frontier, so the stop at a forbidden
+    # missing value never fires: it builds the candidates of every node
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return _candidates(*args)
+
+    monkeypatch.setattr(rascent.words, "_candidates", counted)
+    assert count_family.__wrapped__(n, family) == count
+    assert calls[0] == nodes
+
+
 def test_cayley_counts_are_fubini_numbers():
     # ordered set partitions: sum over k of k! S(n, k)
     fubini = [sum(math.factorial(k) * stirling2(n, k) for k in range(n + 1)) for n in range(1, 9)]
