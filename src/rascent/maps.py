@@ -10,7 +10,7 @@ both the bijection and the generating trees.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 # Loaded on first use, maybe while a tracer (perfbench/layers.py) has
 # wrapped public functions of other modules: so those are called through
@@ -54,7 +54,7 @@ def revise(x: Iterable[int]) -> ReviseTrace:
 
 
 def _revise(w: Word) -> ReviseTrace:
-    bottoms = _words._positions(_words._ascent_bottoms(w))
+    bottoms = _words._positions(_words._stats(w)[1])
     relabeled = relabel(w, bottoms)
     return ReviseTrace(source=w, relabeled=relabeled, revised=(max(relabeled),) + relabeled, bottoms=bottoms)
 
@@ -167,7 +167,11 @@ def complement(x: Iterable[int]) -> Word:
     >>> sorted(ascent_tops(w)), sorted(descent_bottoms(complement(w)))
     ([1, 2, 3, 5, 9], [1, 2, 3, 5, 9])
     """
-    w = _words.check_word(x)
+    return _complement(_words.check_word(x))
+
+
+def _complement(w: Sequence[int]) -> Word:
+    # complement on a valid word, as a tuple or bytes from the search
     m = max(w)
     return tuple([m + 1 - v for v in w])
 

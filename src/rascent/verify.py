@@ -9,8 +9,10 @@ and derives every check from them.  Each check is a lazy stream of
 counterexamples of which only the first is drawn.  A sweep pays once
 per word and once per pattern: a pattern tested against many words is
 compiled once for all of them (`occurrence_test`), and the statistics
-sweep tests each Cayley word as the search reaches it, keeps none, and
-compares position bit sets.  Suite names are part of the CLI contract.
+sweep tests the Cayley words as the search hands them over, a block of
+completions at a time, keeps none, and compares the position bit sets
+of one statistics kernel call on each word and one on its complement.
+Suite names are part of the CLI contract.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ from . import gentree as _gentree, maps as _maps, oracle as _oracle, patterns as
 from .gentree import _RULE_CHILDREN, Rule
 from .oracle import OPEN_111_PREFIX, TABLE_ROWS
 from .series import PowerSeries
-from .words import DEFAULT_CAP, Family, Word
-from .words import _ascent_bottoms, _ascent_tops, _descent_bottoms, _descent_tops, _format_word, _nub, _positions
+from .words import DEFAULT_CAP, BlockLeaf, Family, Word, _format_word, _positions, _stats
 
 
 class Check(NamedTuple):
@@ -99,14 +100,14 @@ def suite_eta(n_max: int) -> list[Check]:
             s.note("one-step-recursion", (_format_word(x) for x, y in image.items()
                                           if y != _maps._add_entry(shorter[x[:-1]], x[-1])))
         s.note("max-counts-ascent-tops", (_format_word(x) for x, y in image.items()
-                                          if max(y) != _ascent_tops(x).bit_count()))
+                                          if max(y) != _stats(x)[0].bit_count()))
         s.note("counts-match-fishburn", [f"n={n}"] if len(revised) != fib[n - 1] else [])
         revised = _words.enumerate_family(n + 1, Family.REVISED)
         s.note("bijection-onto-next-length", _bijection_misses(image.values(), revised))
         if n <= relabel_top:
             s.note("equals-relabel-of-padded-word",
                    (_format_word(x) for x, y in image.items()
-                    if y != _maps.relabel((1,) + x, _positions(_ascent_bottoms((1,) + x)))))
+                    if y != _maps.relabel((1,) + x, _positions(_stats((1,) + x)[1]))))
         s.note("inverse-round-trip", (_format_word(x) for x, y in image.items()
                                       if _maps._unrevise(y) != x))
     return [
@@ -140,26 +141,33 @@ def _peel_misses(words: Sequence[Word], shorter: set[Word]) -> Iterator[str]:
 def _complement_misses(n: int, revised: Sequence[Word]) -> Iterator[str]:
     for fam, mate in ((Family.REVISED, Family.DESTOP), (Family.MODIFIED, Family.DESBOT)):
         source = revised if fam is Family.REVISED else _words.enumerate_family(n, fam)
-        for miss in _bijection_misses(map(_maps.complement, source), _words.enumerate_family(n, mate)):
+        for miss in _bijection_misses(map(_maps._complement, source), _words.enumerate_family(n, mate)):
             yield f"{fam.value}->{mate.value} at n={n}: {miss}"
 
 
 def _stat_miss(w: Sequence[int]) -> bool:
-    # complement validates w; nothing else does, and c is built valid
-    c = _maps.complement(w)
-    return (_ascent_tops(w) != _descent_bottoms(c) or _ascent_bottoms(w) != _descent_tops(c)
-            or _nub(w) != _nub(c))
+    # w is a valid word, built by the search or standardize, and so is its
+    # complement: one kernel call on each, then the three comparisons
+    asctop, ascbot, _, _, nub = _stats(w)
+    _, _, destop, desbot, mate_nub = _stats(_maps._complement(w))
+    return asctop != desbot or ascbot != destop or nub != mate_nub
 
 
 def _cayley_stat_misses(n: int) -> Iterator[str]:
-    # each word is tested as the search reaches it; after a miss, none is
+    # each word is tested as the search reaches it, most of them a block
+    # of completions of one prefix at a time; after a miss, none is
     misses: list[str] = []
 
-    def leaf(entries: list[int]) -> None:
+    def leaf(entries: Sequence[int]) -> None:
         if not misses and _stat_miss(entries):
             misses.append(_format_word(entries))
 
-    _words.search_family(n, Family.CAYLEY, leaf)
+    def block(prefix: list[int], tails: list[bytes]) -> None:
+        head = bytes(prefix)
+        for tail in tails:
+            leaf(head + tail)
+
+    _words.search_family(n, Family.CAYLEY, BlockLeaf(leaf, block))
     yield from misses
 
 
@@ -173,8 +181,9 @@ def _sampled_cayley(lengths: Iterable[int], per_length: int) -> Iterator[Word]:
 def _max_misses(words: Sequence[Word]) -> Iterator[str]:
     for w in words:
         m = max(w)
+        asctop, ascbot, *_ = _stats(w)
         if (w[0] != m or (len(w) >= 2 and w.count(m) < 2)
-                or m != _ascent_bottoms(w).bit_count() or m != _ascent_tops(w).bit_count()):
+                or m != ascbot.bit_count() or m != asctop.bit_count()):
             yield _format_word(w)
 
 

@@ -18,7 +18,7 @@ import enum
 import math
 import sys
 from functools import lru_cache
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 Word = tuple[int, ...]
 
@@ -123,73 +123,53 @@ def ascent_tops(x: Iterable[int]) -> frozenset[int]:
     >>> sorted(ascent_tops((1, 3, 5, 1, 4, 4, 3, 1, 2)))
     [1, 2, 3, 5, 9]
     """
-    return frozenset(_positions(_ascent_tops(check_word(x))))
+    return frozenset(_positions(_stats(check_word(x))[0]))
 
 
 def ascent_bottoms(x: Iterable[int]) -> frozenset[int]:
     """Positions i < n with x_i < x_{i+1}, together with position 1."""
-    return frozenset(_positions(_ascent_bottoms(check_word(x))))
+    return frozenset(_positions(_stats(check_word(x))[1]))
 
 
 def descent_tops(x: Iterable[int]) -> frozenset[int]:
     """Positions i < n with x_i > x_{i+1}, together with position 1."""
-    return frozenset(_positions(_descent_tops(check_word(x))))
+    return frozenset(_positions(_stats(check_word(x))[2]))
 
 
 def descent_bottoms(x: Iterable[int]) -> frozenset[int]:
     """Positions i with x_{i-1} > x_i, together with position 1."""
-    return frozenset(_positions(_descent_bottoms(check_word(x))))
+    return frozenset(_positions(_stats(check_word(x))[3]))
 
 
-# The four statistics, the nub and the membership tests of a word already
-# validated by check_word (a tuple or the search's entry list).  Each is a
-# position bit set, bit i for position i; _positions lists it in order.
-# A Cayley-based family is cut out by the statistic in _MARKS whose set
-# must equal the leftmost occurrences (for CAYLEY, the nub itself).
+# The statistics of a word already validated by check_word (a tuple, the
+# search's entry list, or bytes with entry v as byte v) come from one
+# kernel, _stats, which returns the position bit sets (asctop, ascbot,
+# destop, desbot, nub), bit i for position i, from one pass over the
+# word; _positions lists a bit set in order.  A Cayley-based family is
+# cut out by the field in _MARKS whose set must equal the leftmost
+# occurrences, the nub (for CAYLEY, the nub itself).
 
 def _positions(bits: int) -> tuple[int, ...]:
     return tuple(i for i in range(1, bits.bit_length()) if bits >> i & 1)
 
 
-def _ascent_tops(w: Word) -> int:
-    bits = 2
-    for i in range(1, len(w)):
-        if w[i - 1] < w[i]:
-            bits |= 2 << i
-    return bits
-
-
-def _ascent_bottoms(w: Word) -> int:
-    bits = 2
-    for i in range(1, len(w)):
-        if w[i - 1] < w[i]:
-            bits |= 1 << i
-    return bits
-
-
-def _descent_tops(w: Word) -> int:
-    bits = 2
-    for i in range(1, len(w)):
-        if w[i - 1] > w[i]:
-            bits |= 1 << i
-    return bits
-
-
-def _descent_bottoms(w: Word) -> int:
-    bits = 2
-    for i in range(1, len(w)):
-        if w[i - 1] > w[i]:
-            bits |= 2 << i
-    return bits
-
-
-def _nub(w: Word) -> int:
-    seen = bits = 0
-    for i, v in enumerate(w, start=1):
+def _stats(w: Sequence[int]) -> tuple[int, int, int, int, int]:
+    # up and down mark the later position of each ascent and descent (an
+    # ascent top, a descent bottom), and one shift down marks the earlier;
+    # position 1 belongs to all four statistics
+    up = down = seen = nub = 0
+    bit, prev = 1, w[0]
+    for v in w:
+        bit <<= 1
+        if v > prev:
+            up |= bit
+        elif v < prev:
+            down |= bit
+        prev = v
         if not seen >> v & 1:
             seen |= 1 << v
-            bits |= 1 << i
-    return bits
+            nub |= bit
+    return 2 | up, 2 | up >> 1, 2 | down >> 1, 2 | down, nub
 
 
 def _is_cayley(w: Word) -> bool:
@@ -209,14 +189,14 @@ def _is_ascent(w: Word) -> bool:
     return True
 
 
-_MARKS = {Family.CAYLEY: _nub, Family.MODIFIED: _ascent_tops, Family.REVISED: _ascent_bottoms,
-          Family.DESTOP: _descent_tops, Family.DESBOT: _descent_bottoms}
+_MARKS = {Family.CAYLEY: 4, Family.MODIFIED: 0, Family.REVISED: 1, Family.DESTOP: 2, Family.DESBOT: 3}
 
 
 def _is_member(w: Word, family: Family) -> bool:
     if family is Family.ASCENT:
         return _is_ascent(w)
-    return _is_cayley(w) and _MARKS[family](w) == _nub(w)
+    stats = _stats(w)
+    return _is_cayley(w) and stats[_MARKS[family]] == stats[4]
 
 
 class StatSets(NamedTuple):
@@ -230,9 +210,7 @@ class StatSets(NamedTuple):
 
 def stat_sets(x: Iterable[int]) -> StatSets:
     """Compute all four statistic sets in one go."""
-    w = check_word(x)
-    return StatSets(*(frozenset(_positions(stat(w)))
-                      for stat in (_ascent_tops, _ascent_bottoms, _descent_tops, _descent_bottoms)))
+    return StatSets(*(frozenset(_positions(bits)) for bits in _stats(check_word(x))[:4]))
 
 
 def nub(x: Iterable[int]) -> frozenset[int]:
@@ -241,7 +219,7 @@ def nub(x: Iterable[int]) -> frozenset[int]:
     >>> sorted(nub((2, 1, 2)))
     [1, 2]
     """
-    return frozenset(_positions(_nub(check_word(x))))
+    return frozenset(_positions(_stats(check_word(x))[4]))
 
 
 def is_cayley(x: Iterable[int]) -> bool:

@@ -62,22 +62,28 @@ def _verdict(suite, name, n_max):
     return next(c for c in run_suite(suite, n_max) if c.name == name)
 
 
-@pytest.mark.parametrize("fault", ["identity-complement", "swapped-descent-statistics",
-                                   "swapped-ascent-statistics"])
+# each fault rewrites the kernel's fields (asctop, ascbot, destop, desbot, nub)
+_STAT_FAULTS = {
+    "swapped-descent-statistics": lambda s: (s[0], s[1], s[3], s[2], s[4]),
+    "swapped-ascent-statistics": lambda s: (s[1], s[0], s[2], s[3], s[4]),
+    "ascent-tops-as-nub": lambda s: (*s[:4], s[0]),
+}
+
+
+@pytest.mark.parametrize("fault", ["identity-complement", *_STAT_FAULTS])
 def test_statistics_check_still_fails_on_a_fault(monkeypatch, fault):
     if fault == "identity-complement":
-        monkeypatch.setattr(maps, "complement", lambda x: tuple(x))
-    elif fault == "swapped-descent-statistics":
-        monkeypatch.setattr(verify, "_descent_bottoms", verify._descent_tops)
+        monkeypatch.setattr(maps, "_complement", tuple)
     else:
-        monkeypatch.setattr(verify, "_ascent_bottoms", verify._ascent_tops)
+        real, wrong = verify._stats, _STAT_FAULTS[fault]
+        monkeypatch.setattr(verify, "_stats", lambda w: wrong(real(w)))
     check = _verdict("addrom", "complement-swaps-statistics", 4)
     assert not check.passed and check.counterexample == "12"
 
 
 def test_complement_family_check_still_fails_on_a_fault(monkeypatch):
     # the identity sends the modified word 12 outside the desbot family
-    monkeypatch.setattr(maps, "complement", lambda x: tuple(x))
+    monkeypatch.setattr(maps, "_complement", tuple)
     check = _verdict("addrom", "complement-swaps-families", 4)
     assert (check.passed, check.counterexample) == (False, "mod->desbot at n=2: 12")
 

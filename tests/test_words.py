@@ -29,7 +29,7 @@ from rascent.words import (
     search_family,
     stat_sets,
 )
-from rascent.words import _DEPTH_HEADROOM, _MODE, _candidates
+from rascent.words import _DEPTH_HEADROOM, _MODE, _candidates, _stats
 from rascent.patterns import avoid_filter
 from rascent.oracle import fishburn, stirling2
 
@@ -60,6 +60,8 @@ def _assert_statistics_are_naive(w):
     assert public == tuple(stat_sets(w)) == naive, w
     assert nub(w) == reference.leftmost_positions(w), w
     assert all(type(s) is frozenset for s in (*public, *stat_sets(w), nub(w)))
+    if max(w) <= 255:  # the search hands the sweeps the same word as bytes
+        assert _stats(bytes(w)) == _stats(w), w
 
 
 def test_statistics_match_the_naive_positions_on_every_cayley_word():
@@ -71,6 +73,19 @@ def test_statistics_match_the_naive_positions_on_every_cayley_word():
 @given(st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=12))
 def test_statistics_match_the_naive_positions(values):
     _assert_statistics_are_naive(tuple(values))
+
+
+def test_statistics_match_the_naive_positions_beyond_cayley_words():
+    # the public statistics take any word, not only Cayley ones
+    for n in range(1, 7):
+        for w in itertools.product(range(1, 5), repeat=n):
+            _assert_statistics_are_naive(w)
+    for w in [(1,), (7,), (300,), (1, 257, 1), (1, 300, 2, 300, 256), (255, 256, 1)]:
+        _assert_statistics_are_naive(w)
+    # 200 positions: the bit sets run past 64 bits
+    long_word = tuple(1 + (i * 37) % 11 for i in range(200))
+    _assert_statistics_are_naive(long_word)
+    assert _stats(long_word)[0].bit_length() > 64
 
 
 def test_ascent_bottoms_second_worked_word():
