@@ -6,8 +6,6 @@ Everything here runs on rationals; no floats, so identities either
 hold on the nose or fail loudly.
 """
 
-from fractions import Fraction
-
 from rascent import (
     PowerSeries,
     bell_numbers,
@@ -33,8 +31,7 @@ disc = t ** 4 + 2 * t ** 2 - 4 * t + 1
 
 
 def lift(name):
-    coeffs = [Fraction(0)] + [Fraction(c) for c in expand_gf(name, order)]
-    return PowerSeries.from_coefficients(coeffs, order)
+    return PowerSeries.from_coefficients((0,) + expand_gf(name, order), order)
 
 
 z = lift("b123")

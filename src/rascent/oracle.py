@@ -14,43 +14,28 @@ from . import GF_NAMES
 from .words import Word, check_word
 
 
-def _poly_mul_trunc(a: list[int], b: list[int], order: int) -> list[int]:
-    out = [0] * (order + 1)
-    for i, x in enumerate(a):
-        if x and i <= order:
-            for j, y in enumerate(b):
-                if i + j > order:
-                    break
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
 @lru_cache(maxsize=None)
 def fishburn(count: int) -> tuple[int, ...]:
     """The first `count` Fishburn numbers F_1, F_2, ...
 
-    Expanded from sum_{n>=1} prod_{i=1..n} (1 - (1-x)^i); the n-th
-    product term has valuation n, so terms beyond the truncation order
-    contribute nothing.
+    Expanded in exact series arithmetic from the product-sum
+    sum_{n>=1} prod_{i=1..n} (1 - (1-t)^i); the n-th product term has
+    valuation n, so terms beyond the truncation order contribute nothing.
 
     >>> fishburn(7)
     (1, 2, 5, 15, 53, 217, 1014)
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    order = count
-    total = [0] * (order + 1)
-    prod = [1] + [0] * order
-    pow_one_minus = [1] + [0] * order  # (1-x)^i, updated in place
-    for i in range(1, order + 1):
-        pow_one_minus = _poly_mul_trunc(pow_one_minus, [1, -1], order)
-        factor = [-c for c in pow_one_minus]
-        factor[0] += 1
-        prod = _poly_mul_trunc(prod, factor, order)
-        for k in range(order + 1):
-            total[k] += prod[k]
-    return tuple(total[1:])
+    from .series import PowerSeries
+    one_minus_t = 1 - PowerSeries.variable(count)
+    power = prod = PowerSeries.constant(1, count)  # (1-t)^i and the i-th product
+    total = PowerSeries.constant(0, count)
+    for _ in range(count):
+        power = one_minus_t * power  # the sparse factor first: it drives the outer loop
+        prod = prod * (1 - power)
+        total = total + prod
+    return tuple(total.coeffs[1:])
 
 
 @lru_cache(maxsize=None)
@@ -183,8 +168,6 @@ def expand_gf(name: str, order: int) -> tuple[int, ...]:
         raise ValueError("order must be >= 1")
     if name == "fishburn":
         return fishburn(order)
-    from fractions import Fraction
-
     from .series import PowerSeries
     t = PowerSeries.variable(order + 1)
     if name == "b123":
@@ -194,10 +177,10 @@ def expand_gf(name: str, order: int) -> tuple[int, ...]:
     elif name == "b132":
         root = _discriminant_root(t)
         numerator = t ** 2 - 2 * t + 1 - root
-        series = numerator.shift_down(1) * Fraction(1, 2)
+        series = numerator.shift_down(1) / 2
     else:  # b213
         inner = 1 - 4 * t
-        series = (1 - inner.sqrt()) * Fraction(1, 2)
+        series = (1 - inner.sqrt()) / 2
     coeffs = series.integer_coefficients()
     return tuple(coeffs[1: order + 1])
 

@@ -1,14 +1,16 @@
 """Exact truncated power series over the rationals.
 
-Coefficients are `fractions.Fraction`, so every expansion this package
-produces is exact; integrality of a combinatorial series is something
-callers can assert rather than hope for.  A series carries its own
-truncation order, and mixed-order arithmetic truncates to the smaller
-order.
+Coefficients are exact: an `int` when integral, a `fractions.Fraction`
+otherwise, never a float.  Integral series (the counting series of this
+package) so run on int arithmetic, and integrality of a combinatorial
+series is something callers can assert rather than hope for.  Only
+series division and `sqrt` can leave a remainder, and both divide
+through `Fraction`.  A series carries its own truncation order, and
+mixed-order arithmetic truncates to the smaller order.
 
 >>> t = PowerSeries.variable(5)
 >>> ((PowerSeries.constant(1, 5) + 2 * t).sqrt() * 2).coefficient(1)
-Fraction(2, 1)
+2
 """
 
 from __future__ import annotations
@@ -19,16 +21,24 @@ from typing import Iterable, Union
 Scalar = Union[int, Fraction]
 
 
+def _exact(c: Scalar) -> Scalar:
+    """c as an int when it is integral, as a Fraction otherwise."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class PowerSeries:
     """A power series truncated after the term of degree `order`."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar]):
-        cs = tuple(Fraction(c) for c in coeffs)
+        cs = tuple(map(_exact, coeffs))
         if not cs:
             raise ValueError("a series needs at least the constant term")
-        self.coeffs: tuple[Fraction, ...] = cs
+        self.coeffs: tuple[Scalar, ...] = cs
 
     # -- constructors -----------------------------------------------------
 
@@ -57,7 +67,7 @@ class PowerSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def coefficient(self, k: int) -> Fraction:
+    def coefficient(self, k: int) -> Scalar:
         if not 0 <= k <= self.order:
             raise ValueError(f"coefficient {k} outside truncation order {self.order}")
         return self.coeffs[k]
@@ -69,12 +79,10 @@ class PowerSeries:
 
     def integer_coefficients(self) -> list[int]:
         """All coefficients as ints; raises if any is non-integral."""
-        out = []
         for k, c in enumerate(self.coeffs):
-            if c.denominator != 1:
+            if type(c) is not int:
                 raise ArithmeticError(f"coefficient of t^{k} is not an integer: {c}")
-            out.append(c.numerator)
-        return out
+        return list(self.coeffs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PowerSeries):
@@ -91,7 +99,7 @@ class PowerSeries:
 
     # -- arithmetic -------------------------------------------------------
 
-    def _pair(self, other: "PowerSeries") -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    def _pair(self, other: "PowerSeries") -> tuple[tuple[Scalar, ...], tuple[Scalar, ...]]:
         n = min(self.order, other.order)
         return self.coeffs[: n + 1], other.coeffs[: n + 1]
 
@@ -122,13 +130,10 @@ class PowerSeries:
             return PowerSeries(c * other for c in self.coeffs)
         a, b = self._pair(other)
         n = len(a)
-        out = [Fraction(0)] * n
+        out: list[Scalar] = [0] * n
         for i, x in enumerate(a):
             if x:
-                for j in range(n - i):
-                    y = b[j]
-                    if y:
-                        out[i + j] += x * y
+                out[i:] = [o + x * y for o, y in zip(out[i:], b)]
         return PowerSeries(out)
 
     __rmul__ = __mul__
@@ -137,19 +142,19 @@ class PowerSeries:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError("division by zero scalar")
-            return self * (Fraction(1) / Fraction(other))
+            return self * (Fraction(1) / other)
         a, b = self._pair(other)
         if b[0] == 0:
             raise ValueError("divisor must have a nonzero constant term")
         n = len(a)
-        out = [Fraction(0)] * n
-        inv0 = 1 / b[0]
+        out: list[Scalar] = [0] * n
+        inv0 = _exact(Fraction(1) / b[0])
         for k in range(n):
             acc = a[k]
             for j in range(1, k + 1):
                 if b[j]:
                     acc -= b[j] * out[k - j]
-            out[k] = acc * inv0
+            out[k] = _exact(acc * inv0)
         return PowerSeries(out)
 
     def __rtruediv__(self, other: Scalar) -> "PowerSeries":
@@ -183,7 +188,8 @@ class PowerSeries:
         the coefficient of t^k in y * y = a solved for y_k."""
         if self.coeffs[0] != 1:
             raise ValueError("sqrt requires constant term 1")
-        y = [Fraction(1)]
+        y: list[Scalar] = [1]
         for k in range(1, len(self.coeffs)):
-            y.append((self.coeffs[k] - sum(y[j] * y[k - j] for j in range(1, k))) / 2)
+            rest = self.coeffs[k] - sum(y[j] * y[k - j] for j in range(1, k))
+            y.append(_exact(Fraction(rest, 2)))
         return PowerSeries(y)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 # Loaded on first use, maybe while a tracer (perfbench/layers.py) has
@@ -346,8 +345,7 @@ def suite_series(n_max: int) -> list[Check]:
     disc = (t ** 4 + 2 * t ** 2 - 4 * t + 1).truncate(order)
 
     def lift(name: str) -> PowerSeries:
-        coeffs = [Fraction(0)] + [Fraction(c) for c in _oracle.expand_gf(name, order)]
-        return PowerSeries.from_coefficients(coeffs, order)
+        return PowerSeries.from_coefficients((0,) + _oracle.expand_gf(name, order), order)
 
     z, y = lift("b123"), lift("b132")
     st = _oracle.system_132(27)

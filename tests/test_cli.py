@@ -435,6 +435,8 @@ def test_count_usage_errors(capsys):
     code, _, err = run(capsys, "count", "--n-max", "3", "--method", "tree",
                        "--dump-labels", "--format", "csv")
     assert code == 2
+    assert run(capsys, "count", "--family", "asc", "--method", "oracle") == (
+        2, "", "rascent count: closed forms only cover the revised family\n")
     for argv in (("count", "--avoid", "1234567"),
                  ("count", "--avoid", "13"),
                  ("count", "--avoid", "\u00b2"),

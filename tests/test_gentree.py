@@ -19,7 +19,7 @@ from rascent.gentree import (
 from rascent.maps import add_entry
 from rascent.oracle import expand_gf, fishburn
 from rascent.patterns import avoider_words, avoids
-from rascent.words import Family, family_members
+from rascent.words import CapExceededError, Family, family_members
 
 
 def test_roots():
@@ -84,6 +84,13 @@ def test_expanded_levels_match_enumeration():
     for n in range(2, 9):
         assert tuple(expand_level(Rule.FULL, n)) == family_members(n, Family.REVISED)
         assert expand_level(Rule.AVOID123, n) == avoider_words(n, (1, 2, 3))
+
+
+def test_expand_level_refuses_lengths_outside_the_tree():
+    with pytest.raises(ValueError, match="tree levels start at length 2"):
+        expand_level(Rule.FULL, 1)
+    with pytest.raises(CapExceededError, match="length 6 exceeds cap 5"):
+        expand_level(Rule.AVOID123, 6, cap=5)
 
 
 def test_label_dp_matches_materialized_words():

@@ -116,10 +116,18 @@ def test_shift_trim_worked_example():
 
 
 def test_shift_trim_domain_checks():
-    with pytest.raises(ValueError):
-        shift_trim((2, 1, 1))  # contains the forbidden pattern
-    with pytest.raises(ValueError):
-        shift_trim((1, 2))  # not in the revised family
+    # 2121 is a revised ascent sequence, so only the 211 guard refuses it
+    with pytest.raises(ValueError, match="input contains the pattern 211"):
+        shift_trim((2, 1, 2, 1))
+    with pytest.raises(ValueError, match="not a revised ascent sequence"):
+        shift_trim((1, 2))
+    with pytest.raises(ValueError, match="length >= 2"):
+        shift_trim((1,))
+
+
+def test_remove_entry_refuses_a_single_entry():
+    with pytest.raises(ValueError, match="length >= 2"):
+        remove_entry((1,))
 
 
 @pytest.mark.parametrize("n", range(1, 8))

@@ -91,6 +91,7 @@ def test_gf_expansions_pinned():
 def test_gf_expansions_at_the_cli_order_match_independent_sources():
     # as far as `rascent gf` expands: the label DP, the 132 recurrences
     # and the Catalan convolution share no code with the series
+    assert expand_gf("fishburn", MAX_ORDER) == tuple(level_totals(Rule.FULL, MAX_ORDER))
     assert expand_gf("b123", MAX_ORDER)[1:] == tuple(level_totals(Rule.AVOID123, MAX_ORDER - 1))
     assert expand_gf("b132", MAX_ORDER) == system_132(MAX_ORDER).g[1:]
     assert expand_gf("b213", MAX_ORDER) == catalan_numbers(MAX_ORDER)

@@ -9,7 +9,7 @@ from rascent.series import PowerSeries
 
 
 def series_of(ints, order=8):
-    return PowerSeries.from_coefficients([Fraction(c) for c in ints], order)
+    return PowerSeries.from_coefficients(ints, order)
 
 
 small_series = st.builds(
@@ -100,6 +100,48 @@ def test_integer_coefficients_guard():
     assert list(s.integer_coefficients()) == [1, 2, 3, 0, 0, 0, 0, 0, 0]
     with pytest.raises(ArithmeticError):
         (s / 2).integer_coefficients()
+
+
+scalars = st.one_of(st.integers(min_value=-6, max_value=6),
+                    st.fractions(min_value=-6, max_value=6, max_denominator=6))
+exact_series = st.builds(lambda cs: PowerSeries.from_coefficients(cs, 6),
+                         st.lists(scalars, min_size=1, max_size=7))
+
+
+def with_constant(s, c):
+    return s - s.coefficient(0) + c
+
+
+def assert_exact(s, integral=False):
+    # an int when integral, a Fraction otherwise, never a float
+    for c in s.coeffs:
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), c
+        assert type(c) is int or not integral, c
+
+
+@given(exact_series, exact_series, scalars.filter(bool), st.sampled_from([1, -1]),
+       scalars.filter(lambda c: c not in (0, 1, -1)))
+def test_coefficients_stay_exact(a, b, k, unit, non_unit):
+    integral = all(type(c) is int for c in a.coeffs + b.coeffs)
+    for result in (a + b, a - b, a * b, -a, a + k, k - a, k * a, a / k):
+        assert_exact(result)
+    for result in (a + b, a - b, a * b, a ** 3):
+        assert_exact(result, integral)
+    for c in (unit, non_unit):
+        d = with_constant(b, c)
+        q = a / d
+        assert_exact(q, integral and c == unit)
+        assert q * d == a
+    root = with_constant(a, 1).sqrt()
+    assert_exact(root)
+    assert root * root == with_constant(a, 1)
+
+
+def test_coefficients_are_normalized_on_construction():
+    s = PowerSeries([Fraction(4, 2), 0.5, True])
+    assert s.coeffs == (2, Fraction(1, 2), 1)
+    assert [type(c) for c in s.coeffs] == [int, Fraction, int]
+    assert hash(s) == hash(PowerSeries([2, Fraction(1, 2), 1]))
 
 
 def test_truncate_and_equality():

@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 
 import rascent.maps as maps
+import rascent.oracle as oracle
 import rascent.patterns as patterns
 import rascent.verify as verify
 import rascent.words as words
@@ -86,6 +87,21 @@ def test_complement_family_check_still_fails_on_a_fault(monkeypatch):
     monkeypatch.setattr(maps, "_complement", tuple)
     check = _verdict("addrom", "complement-swaps-families", 4)
     assert (check.passed, check.counterexample) == (False, "mod->desbot at n=2: 12")
+
+
+def test_complement_family_check_reports_a_collision(monkeypatch):
+    # a constant map sends the modified words 11 and 12 to one word
+    monkeypatch.setattr(maps, "_complement", lambda w: (1,) * len(w))
+    check = _verdict("addrom", "complement-swaps-families", 4)
+    assert (check.passed, check.counterexample) == (False, "mod->desbot at n=2: collision at 11")
+
+
+def test_repeated_max_check_still_fails_on_a_fault(monkeypatch):
+    # a kernel that loses the ascent bottoms: the word 1 has one
+    real = verify._stats
+    monkeypatch.setattr(verify, "_stats", lambda w: (real(w)[0], 0, *real(w)[2:]))
+    check = _verdict("addrom", "first-entry-is-repeated-max", 4)
+    assert (check.passed, check.counterexample) == (False, "1")
 
 
 def test_statistics_sweep_holds_no_word_list():
@@ -177,3 +193,80 @@ def test_label_invariant_reports_a_faulty_123_rule(monkeypatch):
                         lambda label: core(label) + [(2, 3)] if label == (1, 1) else core(label))
     check = _verdict("gentree", "avoid123-label-invariant", 4)
     assert not check.passed and check.counterexample == "label (2,3) at level 2"
+
+
+# The checks that read the oracle must fail on a wrong oracle: each fault
+# raises the third term of a series by one.
+def _third_term_wrong(terms):
+    return tuple(c + (k == 2) for k, c in enumerate(terms))
+
+
+@pytest.mark.parametrize("suite, name, counterexample", [
+    ("gentree", "level-totals-match-series", "full tree vs product-sum series"),
+    ("series", "tree-totals-match-product-sum", "full tree vs series"),
+    ("series", "pinned-prefixes", "product-sum prefix"),
+    ("eta", "counts-match-fishburn", "n=4"),
+])
+def test_oracle_checks_fail_on_a_wrong_product_sum(monkeypatch, suite, name, counterexample):
+    real = oracle.fishburn
+    monkeypatch.setattr(oracle, "fishburn", lambda count: _third_term_wrong(real(count)))
+    check = _verdict(suite, name, 4)
+    assert (check.passed, check.counterexample) == (False, counterexample)
+
+
+@pytest.mark.parametrize("suite, name, counterexample", [
+    ("series", "pinned-prefixes", "123 prefix"),
+    ("gentree", "level-totals-match-series", "123 subtree vs algebraic series"),
+])
+def test_oracle_checks_fail_on_a_wrong_123_series(monkeypatch, suite, name, counterexample):
+    real = oracle.expand_gf
+    monkeypatch.setattr(oracle, "expand_gf", lambda name, order: (
+        _third_term_wrong(real(name, order)) if name == "b123" else real(name, order)))
+    check = _verdict(suite, name, 4)
+    assert (check.passed, check.counterexample) == (False, counterexample)
+
+
+@pytest.mark.parametrize("sequence, fault, counterexample", [
+    ("stirling2", lambda real: lambda n, k: real(n, k) + 1, "n=2 m=2"),
+    ("bell_numbers", lambda real: lambda count: tuple(b + 1 for b in real(count)), "row sum at n=2"),
+])
+def test_refinement_check_fails_on_a_wrong_sequence(monkeypatch, sequence, fault, counterexample):
+    monkeypatch.setattr(oracle, sequence, fault(getattr(oracle, sequence)))
+    check = _verdict("table1", "refinement-112-by-maximum", 4)
+    assert (check.passed, check.counterexample) == (False, counterexample)
+
+
+# the first word that fits the shape but contains the pattern, for a form
+# check that accepts every word
+_FORM_WITNESSES = {
+    "122": "2122 at n=4",
+    "211": "2121 at n=4",
+    "221": "2121 at n=4",
+    "312": "3123 at n=4",
+    "321": "31231 at n=5",
+}
+
+
+@pytest.mark.parametrize("form", patterns.FORM_NAMES)
+def test_form_checks_fail_on_a_form_that_accepts_every_word(monkeypatch, form):
+    monkeypatch.setitem(patterns._FORM_CHECKS, form, lambda w: True)
+    check = _verdict("forms", f"form-{form}-characterizes-avoiders", 5)
+    assert (check.passed, check.counterexample) == (False, _FORM_WITNESSES[form])
+
+
+def test_class_check_fails_when_121_and_211_split(monkeypatch):
+    real = patterns.wilf_classes
+
+    def split(pattern_length, n_max):
+        report = real(pattern_length, n_max)
+        classes = []
+        for cls in report.classes:
+            if (1, 2, 1) in cls.patterns:
+                classes.extend(cls._replace(patterns=(p,)) for p in cls.patterns)
+            else:
+                classes.append(cls)
+        return report._replace(classes=tuple(classes))
+
+    monkeypatch.setattr(patterns, "wilf_classes", split)
+    check = _verdict("wilf", "length-3-classes-match-table", 4)
+    assert (check.passed, check.counterexample) == (False, "121-211")
