@@ -86,6 +86,11 @@ _RULE_CHILDREN = {
     Rule.AVOID123: _rule_children_123,
 }
 
+def _check_rule(rule: Rule) -> None:
+    if not isinstance(rule, Rule):
+        raise ValueError(f"unknown rule {rule!r}")
+
+
 ROOT_LABEL: Label = (1, 1)
 ROOT_WORD: Word = (1, 1)
 
@@ -107,6 +112,7 @@ def label_counts(rule: Rule, level_max: int) -> list[LabelCounts]:
     Pure integer dynamic program; counts stay exact however large they
     get.  Label maps are walked in sorted order so runs are repeatable.
     """
+    _check_rule(rule)
     if level_max < 1:
         raise ValueError("level_max must be >= 1")
     children = _RULE_CHILDREN[rule]
@@ -157,6 +163,7 @@ def _smallest_rise_top(w: Word) -> int:
 
 def word_label(x: Iterable[int], rule: Rule) -> Label:
     """Label of a word under either rule."""
+    _check_rule(rule)
     if rule is Rule.FULL:
         return _word_label(_words.check_word(x), rule)
     w = tuple(x)  # smallest_rise_top validates it
@@ -184,6 +191,7 @@ def expand_level(rule: Rule, n: int, cap: int = DEFAULT_CAP) -> list[Word]:
     >>> expand_level(Rule.FULL, 3)
     [(1, 1, 1), (2, 1, 2)]
     """
+    _check_rule(rule)
     if n < 2:
         raise ValueError("tree levels start at length 2")
     if n > cap:

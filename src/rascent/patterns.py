@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 import re
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .words import (
@@ -43,6 +43,7 @@ from .words import (
     FrontierVeto,
     StepFn,
     Word,
+    _count,
     _is_cayley,
     check_word,
     enumerate_family,
@@ -214,19 +215,16 @@ def _frontier_step(p: Word) -> StepFn:
 # G_w that appending w again would add: the union, over the values b
 # seen since w first came, of what the step adds for w given b alone.
 #
-# The sets sit in the same int, in lanes of _LANE bits.  Lane 0 is the
-# forbidden set; lane w is G_w less the forbidden set, with bit 0 (no
-# value) marking w as seen.  Appending u adds lane u to lane 0 if u was
-# seen, adds to every marked lane w the step's set for w after u alone
-# (one table row per u), clears the forbidden values from every lane,
-# and marks lane u if u is new.  The frontier so holds only what later
-# steps read, not the values seen since each value came, and the
-# search's block memo, which keys on it, lists far fewer states.  A
-# lane holds values up to _LANE - 1, so the search calls the veto for
-# longer words.
-
-_LANE = 64
-
+# The sets sit in the same int, in lanes of width bits, where width - 1
+# is the largest value a search of length n can append (n itself).
+# Lane 0 is the forbidden set; lane w is G_w less the forbidden set,
+# with bit 0 (no value) marking w as seen.  Appending u adds lane u to
+# lane 0 if u was seen, adds to every marked lane w the step's set for
+# w after u alone (one table row per u), clears the forbidden values
+# from every lane, and marks lane u if u is new.  The frontier so holds
+# only what later steps read, not the values seen since each value
+# came, and the search's block memo, which keys on it, lists far fewer
+# states.
 
 @lru_cache(maxsize=None)
 def _lane_step(p: Word, width: int) -> StepFn:
@@ -248,21 +246,21 @@ def _lane_step(p: Word, width: int) -> StepFn:
     return step
 
 
-def frontier(pattern: Iterable[int]) -> tuple[int, StepFn]:
+def frontier(pattern: Iterable[int], n: int) -> tuple[int, StepFn]:
     """The forbidden-next-value frontier of a pattern of length <= 3 or
-    of the form x y x z.
+    of the form x y x z, for words of length at most n.
 
     Returns (init, step): init is the frontier of the empty prefix, and
     step(forbid, seen, u) the frontier after u is appended to a prefix
     with frontier forbid and value bit set seen.  Bit v of the frontier,
-    for v < _LANE, is on exactly when appending v completes a new
+    for v <= n, is on exactly when appending v completes a new
     occurrence; a length-4 frontier keeps more state above those bits.
 
-    >>> init, step = frontier((1, 3, 2))
+    >>> init, step = frontier((1, 3, 2), 8)
     >>> forbid = step(step(init, 0, 2), 1 << 2, 5)  # after the prefix 2 5
     >>> [v for v in range(1, 8) if forbid >> v & 1]
     [3, 4]
-    >>> init, step = frontier((2, 1, 2, 1))
+    >>> init, step = frontier((2, 1, 2, 1), 8)
     >>> forbid = step(step(step(init, 0, 2), 1 << 2, 1), 3 << 1, 2)  # after 2 1 2
     >>> [v for v in range(1, 8) if forbid >> v & 1]
     [1]
@@ -271,7 +269,7 @@ def frontier(pattern: Iterable[int]) -> tuple[int, StepFn]:
     if len(p) <= 3:
         return (-1 if len(p) == 1 else 0), _frontier_step(p)
     if len(p) == 4 and p[2] == p[0]:
-        return 0, _lane_step(p, _LANE)
+        return 0, _lane_step(p, n + 1)
     raise ValueError(f"frontiers cover patterns of length <= 3 and x y x z, got {p}")
 
 
@@ -280,8 +278,7 @@ def avoid_filter(pattern: Iterable[int]) -> AcceptFn:
     `search_family` that refuses exactly the candidates completing an
     occurrence in a prefix that avoids it.  For the patterns with a
     `frontier` it is a FrontierVeto, so the search clears the frontier
-    from its candidates instead of calling it (for x y x z, up to
-    length _LANE - 1, the longest its lanes hold).
+    from its candidates instead of calling it.
 
     >>> veto = avoid_filter((1, 2))
     >>> veto([2, 1], 1), veto([2, 1], 3)
@@ -300,7 +297,7 @@ def avoid_filter(pattern: Iterable[int]) -> AcceptFn:
 
     if k > 4 or k == 4 and p[2] != p[0]:
         return accept
-    return FrontierVeto(accept, *frontier(p), limit=_LANE - 1 if k == 4 else math.inf)
+    return FrontierVeto(accept, partial(frontier, p))
 
 
 def avoider_words(n: int, pattern: Iterable[int], family: Family = Family.REVISED,
@@ -322,13 +319,7 @@ def count_avoiders(n: int, pattern: Word, family: Family = Family.REVISED,
     >>> count_avoiders(6, (1, 1, 1))
     10
     """
-    total = [0]
-
-    def leaf(_entries: list[int]) -> None:
-        total[0] += 1
-
-    search_family(n, family, leaf, accept=avoid_filter(pattern), cap=cap)
-    return total[0]
+    return _count(n, family, avoid_filter(pattern), cap)
 
 
 class WilfClass(NamedTuple):

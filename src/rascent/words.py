@@ -15,7 +15,7 @@ Positions are 1-based everywhere.  Words are plain tuples of ints.
 from __future__ import annotations
 
 import enum
-import math
+import itertools
 import sys
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
@@ -290,17 +290,16 @@ def is_member(x: Iterable[int], family: Family) -> bool:
 # atop instead), the bit set of values seen, whether the last entry was
 # new, the last entry, and forbid, the bit set of values a pattern veto
 # refuses as the next entry.  A FrontierVeto (what patterns.avoid_filter
-# builds for patterns of length <= 3 and of the form x y x z) carries
-# forbid's initial value and its update step, which patterns.frontier
-# derives from the pattern; the search then clears forbid from the
-# candidates instead of calling the veto.  A length-4 frontier keeps its
-# own state in fixed-width lanes above the forbidden values, so forbid
-# is the whole int (the candidates only meet its low lane) and the memo
-# below keys on all of it; past the length its lanes hold (its limit),
-# the search calls the veto.  Any other accept leaves forbid at 0 and
-# is called as before.  forbid only grows along a path, so in a
-# Cayley-based family a node whose forbid holds a value missing below
-# its maximum has no member below it, and the search returns there.
+# builds for patterns of length <= 3 and of the form x y x z) gives
+# forbid's initial value and update step for the search's length, and
+# the search clears forbid from the candidates instead of calling the
+# veto.  A length-4 frontier keeps its own state in lanes above the
+# forbidden values, so forbid is the whole int (the candidates only
+# meet its low lane) and the memo below keys on all of it.  Any other
+# accept leaves forbid at 0 and is called as before.  forbid only grows
+# along a path, so in a Cayley-based family a node whose forbid holds a
+# value missing below its maximum has no member below it, and the
+# search returns there.
 #
 # So every completion below a node depends only on the node's state.
 # When the leaf is a BlockLeaf and there is no accept (or only a
@@ -323,19 +322,18 @@ class FrontierVeto:
     """A pattern veto that also carries the pattern's frontier.
 
     Called with (prefix, candidate) it is a plain AcceptFn and runs the
-    veto it wraps.  The frontier is an int whose low bits are the bit
-    set of values no next entry may take: init for the empty prefix,
-    and step(forbid, seen, v) for the frontier after v is appended to a
-    prefix whose values are the bit set seen.  Up to length limit the
-    search threads the frontier through its state instead of calling
-    the veto; past it, where the frontier cannot hold the values, the
-    search calls the veto.
+    veto it wraps.  frontier(n) gives (init, step) for words of length
+    at most n.  The frontier is an int whose low bits are the bit set
+    of values no next entry may take: init for the empty prefix, and
+    step(forbid, seen, v) for the frontier after v is appended to a
+    prefix whose values are the bit set seen.  The search threads the
+    frontier through its state instead of calling the veto.
     """
 
-    __slots__ = ("veto", "init", "step", "limit")
+    __slots__ = ("veto", "frontier")
 
-    def __init__(self, veto: AcceptFn, init: int, step: StepFn, limit: float = math.inf) -> None:
-        self.veto, self.init, self.step, self.limit = veto, init, step, limit
+    def __init__(self, veto: AcceptFn, frontier: Callable[[int], tuple[int, StepFn]]) -> None:
+        self.veto, self.frontier = veto, frontier
 
     def __call__(self, entries: list[int], v: int) -> bool:
         return self.veto(entries, v)
@@ -465,10 +463,10 @@ def search_family(n: int, family: Family, leaf: Callable[[list[int]], None],
     exhaustive over the accepted set.  accept only sees candidates
     that some member of length n extends: the family rule and the
     exact completion bound (see above) are applied first.  A
-    FrontierVeto is not called up to its limit: the search tests its
-    frontier instead, which refuses exactly what the veto refuses.  A BlockLeaf may be
-    handed each prefix's completions in one block (see above).  A length
-    above cap or the depth limit raises CapExceededError.
+    FrontierVeto is never called: the search tests its frontier
+    instead, which refuses exactly what the veto refuses.  A BlockLeaf
+    may be handed each prefix's completions in one block (see above).
+    A length above cap or the depth limit raises CapExceededError.
     """
     mode = _MODE.get(family)
     if mode is None:
@@ -478,8 +476,8 @@ def search_family(n: int, family: Family, leaf: Callable[[list[int]], None],
     _check_length(n, cap)
     step: Optional[StepFn] = None
     forbid = 0
-    if isinstance(accept, FrontierVeto) and n <= accept.limit:
-        accept, forbid, step = None, accept.init, accept.step
+    if isinstance(accept, FrontierVeto):
+        (forbid, step), accept = accept.frontier(n), None
     entries: list[int] = []
     depth = _BLOCK_DEPTH if isinstance(leaf, BlockLeaf) and accept is None else 0
     memo: dict[tuple, list[bytes]] = {}
@@ -541,16 +539,17 @@ def enumerate_family(n: int, family: Family, cap: int = DEFAULT_CAP) -> list[Wor
     return out
 
 
+def _count(n: int, family: Family, accept: Optional[AcceptFn], cap: int) -> int:
+    """Number of members of length n that the search reaches with accept."""
+    leaves = itertools.count()
+    search_family(n, family, lambda _entries: next(leaves), accept=accept, cap=cap)
+    return next(leaves)
+
+
 @lru_cache(maxsize=None)
 def count_family(n: int, family: Family, cap: int = DEFAULT_CAP) -> int:
     """Number of members of the family with length n."""
-    total = [0]
-
-    def leaf(_entries: list[int]) -> None:
-        total[0] += 1
-
-    search_family(n, family, leaf, cap=cap)
-    return total[0]
+    return _count(n, family, None, cap)
 
 
 @lru_cache(maxsize=None)

@@ -93,6 +93,20 @@ def test_expand_level_refuses_lengths_outside_the_tree():
         expand_level(Rule.AVOID123, 6, cap=5)
 
 
+@pytest.mark.parametrize("call", [
+    lambda rule: word_label((3, 2, 3, 1, 2), rule),
+    lambda rule: label_counts(rule, 3),
+    lambda rule: level_totals(rule, 3),
+    lambda rule: expand_level(rule, 6),
+], ids=["word_label", "label_counts", "level_totals", "expand_level"])
+@pytest.mark.parametrize("rule", ["full", "avoid123", None])
+def test_a_rule_that_is_not_a_rule_is_refused(call, rule):
+    # the value of a Rule is no Rule: word_label once labelled it as the
+    # 123 rule and expand_level grew the full tree
+    with pytest.raises(ValueError, match=f"unknown rule {rule!r}"):
+        call(rule)
+
+
 def test_label_dp_matches_materialized_words():
     for rule in (Rule.FULL, Rule.AVOID123):
         for n in range(2, 9):

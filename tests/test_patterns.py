@@ -6,7 +6,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rascent import patterns, words
+from rascent import words
 from rascent.patterns import (
     FORM_NAMES,
     PATTERN_CAP,
@@ -74,7 +74,7 @@ def test_pattern_cap():
     with pytest.raises(ValueError):
         # the length-4 patterns other than x y x z, and lengths 5 and 6,
         # keep the matching veto
-        frontier((1, 2, 3, 4))
+        frontier((1, 2, 3, 4), 8)
 
 
 # all 17 Cayley permutations of length 1 to 3
@@ -82,21 +82,22 @@ SHORT_PATTERNS = [p for k in (1, 2, 3) for p in enumerate_family(k, Family.CAYLE
 # the 13 of length 4 of the form x y x z, which have a frontier too
 XYXZ_PATTERNS = [p for p in enumerate_family(4, Family.CAYLEY) if p[2] == p[0]]
 FRONTIER_PATTERNS = SHORT_PATTERNS + XYXZ_PATTERNS
+TABLE_XYXZ = [(2, 1, 2, 1), (3, 1, 3, 2), (3, 2, 3, 1)]
 
 
-def _check_frontier(prefix: list, v_max: int) -> None:
-    # bit v of the frontier after the prefix is on exactly when v
-    # completes a new occurrence, for every v up to v_max; only the
-    # bits below the lane width are the forbidden set
-    assert v_max < patterns._LANE
+def _check_frontier(prefix: list, n: int) -> None:
+    # bit v of the frontier for words of length at most n, after the
+    # prefix (its values at most n), is on exactly when v completes a
+    # new occurrence, for every v up to n; only the bits up to n are
+    # the forbidden set
     for pattern in FRONTIER_PATTERNS:
-        forbid, step = frontier(pattern)
+        forbid, step = frontier(pattern, n)
         seen = 0
         for u in prefix:
             forbid, seen = step(forbid, seen, u), seen | 1 << u
-        forbid &= (1 << patterns._LANE) - 1
+        forbid &= (2 << n) - 1
         before = reference.count_subsequence_matches(prefix, pattern)
-        for v in range(1, v_max + 1):
+        for v in range(1, n + 1):
             after = reference.count_subsequence_matches(prefix + [v], pattern)
             assert (forbid >> v & 1) == (after > before), (pattern, prefix, v)
 
@@ -106,6 +107,13 @@ def _check_frontier(prefix: list, v_max: int) -> None:
 def test_frontier_marks_exactly_the_completing_values(prefix):
     # prefixes that already contain the pattern are drawn too
     _check_frontier(prefix, 9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(min_value=58, max_value=70), max_size=7))
+def test_frontier_marks_exactly_the_completing_values_above_63(prefix):
+    # values past a 64-bit lane, up to the length the lanes are sized to
+    _check_frontier(prefix, 70)
 
 
 def test_frontier_marks_exactly_the_completing_values_on_every_short_prefix():
@@ -136,42 +144,46 @@ def test_avoider_sets_match_filtered_enumeration():
         assert got == want
 
 
+class _Enough(Exception):
+    pass
+
+
+def _first_words(n: int, family: Family, accept, count: int) -> list:
+    # the first count words of the search, or all of them if fewer
+    got: list = []
+
+    def leaf(e):
+        got.append(tuple(e))
+        if len(got) == count:
+            raise _Enough
+
+    try:
+        search_family(n, family, leaf, accept=accept, cap=n)
+    except _Enough:
+        pass
+    return got
+
+
 @pytest.mark.parametrize("family", list(Family))
 def test_search_never_calls_a_frontier_veto(family):
-    # every family threads the frontier through its state, and finds
-    # the same words as a search that calls the veto
+    # every family threads the frontier through its state, at every
+    # length, and finds the same words as a search that calls the veto;
+    # at n = 70 the table's x y x z patterns take lanes wider than 64 bits
     calls = []
     for pattern in FRONTIER_PATTERNS:
         veto = avoid_filter(pattern)
-        counted = FrontierVeto(lambda e, v, veto=veto: calls.append(v) or veto(e, v),
-                               veto.init, veto.step, veto.limit)
+        counted = FrontierVeto(lambda e, v, veto=veto: calls.append(v) or veto(e, v), veto.frontier)
         for n in range(1, 7):
             got: list = []
             want: list = []
             search_family(n, family, lambda e: got.append(tuple(e)), accept=counted)
             search_family(n, family, lambda e: want.append(tuple(e)), accept=lambda e, v: veto(e, v))
             assert got == want, (pattern, n)
+        if pattern in TABLE_XYXZ:
+            got = _first_words(70, family, counted, 300)
+            assert got == _first_words(70, family, lambda e, v: veto(e, v), 300), pattern
+            assert len(got) == 300, pattern
     assert calls == []
-
-
-@pytest.mark.parametrize("family", list(Family))
-def test_a_length_past_the_lanes_falls_back_to_the_veto(monkeypatch, family):
-    # lanes of 6 bits hold the values up to 5: to length 5 the search
-    # keeps the frontier, and at length 6 it calls the veto instead;
-    # either way it finds the naive set
-    monkeypatch.setattr(patterns, "_LANE", 6)
-    assert len(XYXZ_PATTERNS) == 13
-    for pattern in XYXZ_PATTERNS:
-        veto = avoid_filter(pattern)
-        assert veto.limit == 5
-        for n in (5, 6):
-            calls: list = []
-            counted = FrontierVeto(lambda e, v: calls.append(v) or veto(e, v), veto.init, veto.step, veto.limit)
-            got: list = []
-            search_family(n, family, lambda e: got.append(tuple(e)), accept=counted)
-            assert got == [w for w in enumerate_family(n, family)
-                           if reference.count_subsequence_matches(w, pattern) == 0], (pattern, n)
-            assert bool(calls) == (n == 6), (pattern, n)
 
 
 @pytest.mark.parametrize("pattern, count, nodes", [((3, 1, 3, 2), 2_327, 3_571), ((2, 3, 1), 503, 1_452)])
