@@ -7,7 +7,7 @@ from rascent import (
     Family,
     add_entry,
     avoids,
-    family_members,
+    enumerate_family,
     format_word,
     parse_word,
     remove_entry,
@@ -48,9 +48,9 @@ print()
 # The headline fact: the map is a bijection, so both sides count the
 # same.
 for n in range(1, 8):
-    source = family_members(n, Family.ASCENT)
+    source = enumerate_family(n, Family.ASCENT)
     images = {revise(s).revised for s in source}
-    target = set(family_members(n + 1, Family.REVISED))
+    target = set(enumerate_family(n + 1, Family.REVISED))
     status = "match" if images == target else "MISMATCH"
     print(f"length {n} -> {n + 1}: {len(source)} words, images {status}")
 print()
@@ -61,10 +61,10 @@ print()
 v = parse_word("6463612656")
 print(f"shift and trim {format_word(v)} -> {format_word(shift_trim(v))}")
 for n in range(2, 8):
-    dom = [y for y in family_members(n + 1, Family.REVISED)
+    dom = [y for y in enumerate_family(n + 1, Family.REVISED)
            if avoids(y, (2, 1, 1))]
     img = {shift_trim(y) for y in dom}
-    tgt = {x for x in family_members(n, Family.MODIFIED)
+    tgt = {x for x in enumerate_family(n, Family.MODIFIED)
            if avoids(x, (1, 2, 2))}
     status = "match" if img == tgt and len(img) == len(dom) else "MISMATCH"
     print(f"length {n + 1} -> {n}: {len(dom)} words, images {status}")

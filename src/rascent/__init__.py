@@ -24,8 +24,8 @@ GF_NAMES = ("fishburn", "b123", "b132", "b213")
 # Every public name, by home module.
 _PUBLIC = {
     "words": """CapExceededError DEFAULT_CAP Family StatSets Word ascent_bottoms ascent_tops
-                count_family descent_bottoms descent_tops enumerate_family family_members
-                format_word is_ascent_sequence is_cayley is_member nub parse_word stat_sets""",
+                count_family descent_bottoms descent_tops enumerate_family format_word
+                is_ascent_sequence is_cayley is_member nub parse_word stat_sets""",
     "maps": "ReviseTrace add_entry complement remove_entry revise shift_trim standardize unrevise",
     "patterns": """FORM_NAMES PATTERN_CAP WilfClass WilfReport avoider_words avoids contains
                    count_avoiders count_occurrences matches_form wilf_classes""",

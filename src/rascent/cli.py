@@ -149,11 +149,8 @@ def _cmd_enumerate(args: argparse.Namespace, out) -> int:
         body = b"\0".join(tails).translate(_DIGITS)
         if b"," in body or b"," in prefix:
             # a word with an entry of 10 or more is written with commas
-            lines = (prefix + body.replace(b"0", b"0" + prefix)).split(b"0")
-            for i, line in enumerate(lines):
-                if b"," in line:
-                    lines[i] = _format_word(entries + list(tails[i])).encode()
-            text = b_before + (b_after + b_before).join(lines) + b_after
+            head = bytes(entries)
+            text = b"".join(b_before + _format_word(head + t).encode() + b_after for t in tails)
         else:
             head = b_before + prefix
             text = head + body.replace(b"0", b_after + head) + b_after

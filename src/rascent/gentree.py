@@ -42,7 +42,7 @@ def rule_children(label: Label) -> list[Label]:
     [(2, 1), (3, 2), (3, 3)]
     """
     m, last = label
-    if m < 1 or not 1 <= last <= m + 1:
+    if m < 1 or not 1 <= last <= m:
         raise ValueError(f"label out of range: {label}")
     return _rule_children(label)
 

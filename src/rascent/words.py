@@ -554,8 +554,8 @@ def count_family(n: int, family: Family, cap: int = DEFAULT_CAP) -> int:
 
 @lru_cache(maxsize=None)
 def family_members(n: int, family: Family) -> tuple[Word, ...]:
-    """Cached enumeration for repeated small-n sweeps.  Capped at n = 10;
-    stream through search_family for anything longer."""
+    """Cached enumeration, capped at n = 10.  Not a public name: nothing in
+    the package calls it, and perfbench's tracer clears it by name."""
     if n > 10:
         raise ValueError("family_members caches small lengths only; use search_family")
     return tuple(enumerate_family(n, family))

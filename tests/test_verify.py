@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+import rascent.gentree as gentree
 import rascent.maps as maps
 import rascent.oracle as oracle
 import rascent.patterns as patterns
@@ -254,19 +255,55 @@ def test_form_checks_fail_on_a_form_that_accepts_every_word(monkeypatch, form):
     assert (check.passed, check.counterexample) == (False, _FORM_WITNESSES[form])
 
 
-def test_class_check_fails_when_121_and_211_split(monkeypatch):
-    real = patterns.wilf_classes
-
+def _split_class(real, pattern):
+    # wilf_classes with the class of pattern split into singletons
     def split(pattern_length, n_max):
         report = real(pattern_length, n_max)
         classes = []
         for cls in report.classes:
-            if (1, 2, 1) in cls.patterns:
+            if pattern in cls.patterns:
                 classes.extend(cls._replace(patterns=(p,)) for p in cls.patterns)
             else:
                 classes.append(cls)
         return report._replace(classes=tuple(classes))
+    return split
 
-    monkeypatch.setattr(patterns, "wilf_classes", split)
+
+def test_class_check_fails_when_121_and_211_split(monkeypatch):
+    monkeypatch.setattr(patterns, "wilf_classes", _split_class(patterns.wilf_classes, (1, 2, 1)))
     check = _verdict("wilf", "length-3-classes-match-table", 4)
     assert (check.passed, check.counterexample) == (False, "121-211")
+
+
+def _drops_first_avoider(real, pattern):
+    # avoider_words without the first avoider of pattern, at every length
+    return lambda n, p, *args: real(n, p, *args)[1:] if tuple(p) == pattern else real(n, p, *args)
+
+
+# The checks that are the only sweep of their claim: each one, with the
+# function it reads made wrong, fails with its first counterexample.
+_SOLE_SWEEP_FAULTS = [
+    (maps, "_revise", lambda real: lambda x: real((1,) * len(x)),  # every word to 1...1
+     "eta", "bijection-onto-next-length", 4, "collision at 111"),
+    (gentree, "expand_level", lambda real: lambda rule, n: real(rule, n)[1:],  # drops a word
+     "gentree", "materialized-labels-match-dp", 4, "full at n=2"),
+    (patterns, "avoider_words", lambda real: _drops_first_avoider(real, (3, 2, 1)),
+     "wilf", "same-avoiders-231-321", 4, "n=1"),
+    (patterns, "avoider_words", lambda real: _drops_first_avoider(real, (2, 1, 1)),
+     "wilf", "same-avoiders-121-211", 4, "n=1"),
+    (patterns, "wilf_classes", lambda real: _split_class(real, (1, 2)),
+     "wilf", "length-2-classes", 6, "(((1, 1),), ((1, 2),), ((2, 1),))"),
+    (oracle, "system_132", lambda real: lambda n_max: real(n_max)._replace(s=tuple(c + 1 for c in real(n_max).s)),
+     "series", "cross-link-132-sums-count-123", 4, "n=2"),
+    (oracle, "recurrence_213", lambda real: lambda count: _third_term_wrong(real(count)),
+     "series", "recurrence-213-is-catalan", 4, "n=3"),
+]
+
+
+@pytest.mark.parametrize("module, attr, fault, suite, name, n_max, counterexample", _SOLE_SWEEP_FAULTS,
+                         ids=[row[4] for row in _SOLE_SWEEP_FAULTS])
+def test_sole_sweep_checks_fail_on_a_wrong_function(monkeypatch, module, attr, fault, suite, name, n_max,
+                                                    counterexample):
+    monkeypatch.setattr(module, attr, fault(getattr(module, attr)))
+    check = _verdict(suite, name, n_max)
+    assert (check.passed, check.counterexample) == (False, counterexample)

@@ -19,7 +19,6 @@ from rascent.words import (
     descent_bottoms,
     descent_tops,
     enumerate_family,
-    family_members,
     format_word,
     is_ascent_sequence,
     is_cayley,
@@ -216,17 +215,6 @@ def test_ascent_family_counts_shift_by_one():
         assert count_family(n, Family.ASCENT) == count_family(n + 1, Family.REVISED)
 
 
-def test_first_entry_is_repeated_maximum():
-    for n in range(1, 10):
-        for w in family_members(n, Family.REVISED):
-            m = max(w)
-            assert w[0] == m
-            if n >= 2:
-                assert w.count(m) >= 2
-            s = stat_sets(w)
-            assert m == len(s.ascbot) == len(s.asctop)
-
-
 @pytest.mark.parametrize("family", list(Family))
 def test_is_member_consistent_with_naive_filter(family):
     members = set(reference.brute_family(5, family.value))
@@ -262,7 +250,6 @@ _FAMILY_TAKERS = {
     "search_family": lambda f: search_family(3, f, lambda e: None),
     "enumerate_family": lambda f: rascent.enumerate_family(3, f),
     "count_family": lambda f: rascent.count_family(3, f),
-    "family_members": lambda f: rascent.family_members(3, f),
     "is_member": lambda f: rascent.is_member((1,), f),
     "avoider_words": lambda f: rascent.avoider_words(5, (1, 1, 1), f),
     "count_avoiders": lambda f: rascent.count_avoiders(5, (1, 1, 1), f),
@@ -327,6 +314,11 @@ def test_serialization_round_trip(values):
 
 
 def test_family_members_caches_and_guards():
+    # not a public name: perfbench's tracer clears its cache by this name
+    from rascent.words import family_members
+
     assert family_members(4, Family.REVISED) == tuple(enumerate_family(4, Family.REVISED))
     with pytest.raises(ValueError):
         family_members(11, Family.REVISED)
+    with pytest.raises(ValueError, match="unknown family 'rasc'"):
+        family_members(3, "rasc")
